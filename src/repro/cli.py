@@ -766,10 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--chunk-size", type=int, default=4096,
                    help="packets per streamed chunk")
     n.add_argument("--shard-mode", default=None, choices=list(SHARD_MODES),
-                   help="worker tier: auto forks only when the clamped "
-                        "worker count can win, processes always forks, "
-                        "threads runs shard-affine in-process workers "
-                        "(default: auto)")
+                   help="worker tier: auto serves one-shot runs on "
+                        "threads or inline by a packets-per-worker rule "
+                        "and forks only persistent or stream pools, "
+                        "processes always forks, threads runs "
+                        "shard-affine in-process workers (default: auto)")
     n.add_argument("--min-chunk-packets", type=int, default=None,
                    metavar="N",
                    help="coalesce dispatches on update-free runs to at "

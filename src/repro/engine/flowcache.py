@@ -66,6 +66,31 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array plus the inverse map.
+
+    Returns exactly what ``np.unique(rows, axis=0, return_inverse=True)``
+    returns — unique rows in lexicographic order (column 0 most
+    significant), and for every input row the index of its unique row —
+    but sorts with ``np.lexsort`` over the columns instead of argsorting
+    a void view of each row, which is about three times faster and
+    releases the GIL, so thread shards deduplicating their misses run
+    in parallel.  The row order matters: it is the cache fill order, which
+    decides evictions.
+    """
+    n = rows.shape[0]
+    if not n:
+        return rows[:0], np.empty(0, dtype=np.intp)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 @dataclass
 class FlowCacheStats:
     """Running counters of one :class:`FlowCache`.
@@ -192,7 +217,11 @@ class FlowCache:
         self._ensure_tables(headers.shape[1])
         s = self._set_index(headers)
         cand = self._keys[s]  # (n, ways, ndim) gather
-        eq = (cand == headers[:, None, :]).all(axis=2) & self._live(s)
+        # Column by column: an ``all(axis=2)`` over the short header
+        # axis costs more than the compares themselves.
+        eq = self._live(s)
+        for d in range(headers.shape[1]):
+            eq &= cand[:, :, d] == headers[:, d, None]
         hit = eq.any(axis=1)
         way = np.argmax(eq, axis=1)
         result = np.where(hit, self._result[s, way], np.int64(-1))
@@ -423,12 +452,10 @@ class CachedClassifier(ClassifierBase):
             t0 = t1
         occupancy = None
         if miss_rows.size:
-            # Deduplicate the misses (identical eviction/fill order in
-            # the fused and unfused paths — ``np.unique`` fixes it).
-            uniq, inverse = np.unique(
-                headers[miss_rows], axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
+            # Deduplicate the misses.  Both paths fill in the sorted
+            # unique-row order ``unique_rows`` returns, so the fused and
+            # unfused paths evict identically.
+            uniq, inverse = unique_rows(headers[miss_rows])
             n_backend = uniq.shape[0]
             if fused_fn is not None:
                 # Fused hot path: one lean match-only walk over the

@@ -20,19 +20,24 @@ out over N worker shards, and aggregates per-chunk statistics into one
   multiprocessing whenever ``shards > 1`` and the platform offers it.
   The built classifier is inherited copy-on-write, so nothing large is
   pickled.
-* ``"auto"`` (the :class:`~repro.serve.EngineConfig` default) — fork
-  only when it can actually win: the worker count after clamping to CPU
-  and chunk counts must be >= 2, otherwise the single-process path
-  serves the trace with identical results.  On a 1-CPU host this is
-  what keeps the shards axis from *inverting* — a 1-worker fork pool
-  pays fork + IPC for zero parallelism.
+* ``"auto"`` (the :class:`~repro.serve.EngineConfig` default) — a
+  one-shot ``run()`` of a non-persistent pipeline never forks.  A cost
+  rule picks its tier: the shard-affine thread tier when at least two
+  usable workers (``min(shards, usable CPUs)``) would each get
+  :data:`AUTO_THREADS_MIN_PACKETS_PER_WORKER` packets, inline
+  otherwise.  A persistent pipeline, and a streamed session (which
+  serves through a session-lifetime pool), fork their long-lived pool
+  when at least two usable workers exist.  Usable CPUs are the
+  process's affinity set (:func:`usable_cpus`), so a pinned process is
+  sized for the CPUs it may actually run on.
 * ``"threads"`` — a thread pool running the NumPy kernels (which release
   the GIL in their hot loops) in-process: no fork, no IPC, per-shard
   flow-cache clones that stay warm across runs.  Chunks are assigned
   round-robin to shard-affine workers, so each shard sees its chunks in
   order exactly like a process shard would.
 
-Two fork pool modes exist (``shard_mode in ("auto", "processes")``):
+Two fork pool modes exist (``shard_mode="processes"``, and ``"auto"``
+for the persistent pool):
 
 * *transient* (default) — a fresh pool per ``run()``; the classifier and
   the trace are inherited copy-on-write, chunk results come back pickled
@@ -130,6 +135,15 @@ DEFAULT_MIN_CHUNK_PACKETS = 65536
 #: merged into its predecessor instead of paying full dispatch cost.
 TAIL_MERGE_DIVISOR = 4
 
+#: ``shard_mode="auto"`` serves a one-shot run of a non-persistent
+#: pipeline on the thread tier only when at least two usable workers
+#: would each get this many packets; below it the run is served inline.
+#: It is the crossover measured on a 2-CPU host (table in
+#: docs/engine.md): threads overtake inline from ~10-12k packets per
+#: worker uncached and from ~16k behind a flow cache, where the
+#: per-chunk work is smaller and the thread pool's start-up weighs more.
+AUTO_THREADS_MIN_PACKETS_PER_WORKER = 16384
+
 #: Persistent-pool update-log watermark: once this many batches have
 #: accumulated for one pool's lifetime, the pool is re-forked (from the
 #: caught-up parent) instead of shipping an ever-growing prefix with
@@ -168,6 +182,16 @@ PendingUpdate = tuple[int, tuple[RuleUpdate, ...]]
 ChunkOutput = tuple[
     np.ndarray, np.ndarray | None, tuple[int, int, int] | None, int
 ]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity set where
+    the platform reports one (``taskset``, cgroup cpusets), else
+    ``os.cpu_count()``.  Pools and tiers are sized from this, never from
+    the machine's CPU count, which ignores affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -345,9 +369,9 @@ class PipelineResult:
 
     ``n_shards`` is the number of workers that *actually ran*: 1
     whenever the single-process fallback served the trace (no ``fork``
-    on the platform, a single chunk, ``shards=1``, or ``shard_mode=
-    "auto"`` declining a fork that could not win), else the worker count
-    after clamping to chunk and CPU counts.
+    on the platform, a single chunk, ``shards=1``, or the ``"auto"``
+    cost rule choosing inline), else the worker count after clamping to
+    chunk and usable-CPU counts.
     """
 
     match: np.ndarray
@@ -449,9 +473,11 @@ class ClassificationPipeline:
     ``shard_mode`` picks the worker tier (see the module docstring):
     ``"processes"`` forces fork-based sharding whenever ``shards > 1``
     (the historical behaviour, and the right mode for conformance tests
-    that must exercise the fork transport), ``"auto"`` forks only when
-    the clamped worker count can win, ``"threads"`` runs shard-affine
-    workers in a thread pool with per-shard flow-cache clones.
+    that must exercise the fork transport), ``"auto"`` serves one-shot
+    runs on threads or inline by a packets-per-worker cost rule and
+    forks only a persistent or stream-lifetime pool, ``"threads"`` runs
+    shard-affine workers in a thread pool with per-shard flow-cache
+    clones.
 
     With ``persistent=True`` the forked worker pool survives across
     ``run()`` calls (create once, serve many traces) and traces/results
@@ -588,7 +614,7 @@ class ClassificationPipeline:
             # Build every lazy batch structure before forking so workers
             # inherit them copy-on-write.
             warm_batch_state(self.classifier, ndim)
-            self._pool_size = min(self.shards, os.cpu_count() or 1)
+            self._pool_size = min(self.shards, usable_cpus())
             _SHARD_STATE = (self.classifier, None)
             # Children inherit the parent's applied-update watermark:
             # every batch the forked snapshot already contains is
@@ -674,16 +700,19 @@ class ClassificationPipeline:
             bounds[-1] = (bounds[-1][0], end)
         return bounds
 
-    def _planned_workers(self) -> int:
-        """How many workers a multi-chunk, update-free run could engage
-        under the configured shard mode on this host."""
+    def _planned_workers(self, n: int) -> int:
+        """How many workers a multi-chunk, update-free run of ``n``
+        packets could engage under the configured shard mode on this
+        host."""
         if self.shards <= 1:
             return 1
         if self.shard_mode == "threads":
             return self.shards
+        if self._auto_one_shot():
+            return self._thread_workers() if self._auto_threads(n) else 1
         if not self._fork_available():
             return 1
-        return min(self.shards, os.cpu_count() or 1)
+        return min(self.shards, usable_cpus())
 
     def _effective_chunk_size(
         self, has_updates: bool, n: int | None = None
@@ -704,7 +733,7 @@ class ClassificationPipeline:
         if has_updates or not self.min_chunk_packets:
             return self.chunk_size
         size = max(self.chunk_size, self.min_chunk_packets)
-        workers = self._planned_workers()
+        workers = self._planned_workers(n or 0)
         if n and workers > 1:
             per_worker = -(-n // workers)
             size = max(self.chunk_size, min(size, per_worker))
@@ -724,22 +753,50 @@ class ClassificationPipeline:
 
         ``"processes"`` always forks (the historical contract — the
         conformance suites rely on it to exercise the transport);
-        ``"auto"`` declines when clamping to CPUs (and chunks) leaves
-        fewer than two workers, because a 1-worker pool pays fork + IPC
-        for zero parallelism.
+        ``"auto"`` (persistent or stream-lifetime pools only) declines
+        when clamping to usable CPUs (and chunks) leaves fewer than two
+        workers, because a 1-worker pool pays fork + IPC for zero
+        parallelism.
         """
         if self.shard_mode == "processes":
             return True
-        workers = min(self.shards, os.cpu_count() or 1)
+        workers = min(self.shards, usable_cpus())
         if n_chunks is not None:
             workers = min(workers, n_chunks)
         return workers >= 2
 
+    def _auto_one_shot(self) -> bool:
+        """Whether ``run()`` serves under the ``auto`` cost rule: an
+        ``auto`` pipeline without a persistent pool never forks."""
+        return self.shard_mode == "auto" and not self.persistent
+
+    def _thread_workers(self) -> int:
+        """Thread-tier worker count before clamping to the chunk count:
+        under ``auto`` only as many shards as this process can run at
+        once, else the configured shards."""
+        if self.shard_mode == "auto":
+            return min(self.shards, usable_cpus())
+        return self.shards
+
+    def _auto_threads(self, n: int) -> bool:
+        """The ``auto`` cost rule: threads when at least two usable
+        workers would each get ``AUTO_THREADS_MIN_PACKETS_PER_WORKER``
+        packets of an ``n``-packet run, inline otherwise."""
+        workers = self._thread_workers()
+        return (
+            workers >= 2
+            and n // workers >= AUTO_THREADS_MIN_PACKETS_PER_WORKER
+        )
+
     def fork_planned(self) -> bool:
-        """Whether a multi-chunk ``run()`` would fork worker processes
-        (the question :class:`~repro.serve.Engine` asks before starting
-        serving threads — forking a multi-threaded process risks
-        inheriting held locks)."""
+        """Whether a streamed session forks worker processes — the
+        question :class:`~repro.serve.Engine` asks before starting its
+        serving threads (forking a multi-threaded process risks
+        inheriting held locks).  A stream serves through a
+        session-lifetime pool, so this describes ``"processes"`` and
+        ``"auto"`` pipelines alike; a one-shot ``run()`` of a
+        non-persistent ``"auto"`` pipeline never forks (see
+        :meth:`_select_tier`)."""
         return (
             self.shards > 1
             and self.shard_mode != "threads"
@@ -865,14 +922,18 @@ class ClassificationPipeline:
         return prefixes
 
     # -- tier selection & supervised dispatch ---------------------------
-    def _select_tier(self, n_chunks: int) -> str:
-        """The worker tier this run starts on (mirrors the historical
-        dispatch branch exactly — supervision changes *recovery*, never
-        the fault-free tier choice)."""
+    def _select_tier(self, n_chunks: int, n: int) -> str:
+        """The worker tier a run of ``n`` packets in ``n_chunks`` chunks
+        starts on (supervision changes *recovery*, never the fault-free
+        tier choice).  ``auto`` without a persistent pool never forks:
+        a fresh fork pool per run loses to the thread tier in every
+        cell measured, so the cost rule picks threads or inline."""
         multi = self.shards > 1 and n_chunks > 1
         if multi:
             if self.shard_mode == "threads":
                 return "threads"
+            if self._auto_one_shot():
+                return "threads" if self._auto_threads(n) else "inline"
             if self._fork_available() and self._fork_engages(n_chunks):
                 return "persistent" if self.persistent else "processes"
         return "inline"
@@ -1062,7 +1123,7 @@ class ClassificationPipeline:
         )
         update_results: list = []
         update_latencies: list[float] = []
-        tier = self._select_tier(len(bounds))
+        tier = self._select_tier(len(bounds), n)
         fault_report: FaultReport | None = None
         started = time.perf_counter()
         if self._supervised(plan):
@@ -1125,7 +1186,7 @@ class ClassificationPipeline:
 
         global _SHARD_STATE, _WORKER_SEQ
         ctx = multiprocessing.get_context("fork")
-        workers = min(self.shards, len(bounds), os.cpu_count() or 1)
+        workers = min(self.shards, len(bounds), usable_cpus())
         # Warm any lazily-built batch structures (e.g. the tuple-space
         # probe tables) in the parent so the forked children inherit
         # them copy-on-write instead of each rebuilding them.
@@ -1276,7 +1337,7 @@ class ClassificationPipeline:
 
         sup = self._supervisor
         timeout = self._timeout_s()
-        workers = min(self.shards, len(bounds))
+        workers = min(self._thread_workers(), len(bounds))
         clones = self._ensure_thread_clones(workers)
         cached = clones[0] is not self.classifier
         outputs: list[ChunkOutput | None] = [None] * len(bounds)

@@ -73,8 +73,10 @@ class EngineConfig:
     shards: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
     persistent: bool = False
-    #: Worker tier: ``"auto"`` forks only when the clamped worker count
-    #: can win, ``"processes"`` always forks when ``shards > 1``,
+    #: Worker tier: ``"auto"`` serves one-shot runs on threads or
+    #: inline by a packets-per-worker cost rule and forks only a
+    #: persistent or stream-lifetime pool, ``"processes"`` always forks
+    #: when ``shards > 1``,
     #: ``"threads"`` runs shard-affine in-process workers.  The engine
     #: defaults to ``"auto"`` (``ClassificationPipeline`` constructed
     #: directly keeps the historical ``"processes"`` default).

@@ -6,6 +6,8 @@ mutate state build their own objects.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,24 @@ def random_headers(schema, n, seed=0):
         for d in range(schema.ndim)
     ]
     return np.stack(cols, axis=1)
+
+
+#: Forks of this process since the fork counter was first requested.
+_FORKS = {"registered": False, "count": 0}
+
+
+def _count_fork() -> None:
+    _FORKS["count"] += 1
+
+
+@pytest.fixture
+def fork_count():
+    """A callable returning how many times this process has forked so
+    far (an ``os.register_at_fork`` hook, installed on first use; take
+    a reading before and after the code under test)."""
+    if not hasattr(os, "register_at_fork"):
+        pytest.skip("os.register_at_fork unavailable")
+    if not _FORKS["registered"]:
+        os.register_at_fork(before=_count_fork)
+        _FORKS["registered"] = True
+    return lambda: _FORKS["count"]

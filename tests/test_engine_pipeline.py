@@ -7,6 +7,8 @@ multiprocessing must never change classification results.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,10 @@ from repro import FIVE_TUPLE, PacketTrace
 from repro.core.errors import ConfigError
 from repro.energy import asic_model
 from repro.engine import ClassificationPipeline, build_backend
+from repro.engine.pipeline import (
+    AUTO_THREADS_MIN_PACKETS_PER_WORKER,
+    usable_cpus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -299,28 +305,68 @@ class TestShardModes:
         assert per_shard is not None and len(per_shard) == 2
         assert all(d["hits"] > 0 for d in per_shard)
 
-    def test_auto_mode_never_loses_to_single_process(
-        self, acc_small, acl_small_trace
-    ):
-        # "auto" on a host where min(shards, cpus) < 2 must serve the
-        # trace single-process (n_shards == 1) rather than paying fork +
-        # IPC for a 1-worker pool; with enough CPUs it forks like
-        # "processes".  Either way the matches are identical.
-        import os
+    @staticmethod
+    def _tiled(trace, oracle, packets):
+        """``trace`` repeated to at least ``packets`` packets, plus the
+        matching oracle."""
+        reps = -(-packets // trace.n_packets)
+        return (
+            PacketTrace(np.tile(trace.headers, (reps, 1)), trace.schema),
+            np.tile(oracle, reps),
+        )
 
+    def test_auto_mode_cost_rule(
+        self, acl_small, acl_small_trace, acl_small_oracle, fork_count
+    ):
+        # A one-shot "auto" run never forks: below the packets-per-worker
+        # floor it serves inline, above it on threads with one worker
+        # per usable CPU (at most ``shards``).  Matches are identical
+        # either way, and a stream still plans its session pool.
+        clf = build_backend("hypercuts", acl_small, binth=16, hw_mode=False)
         pipeline = ClassificationPipeline(
-            acc_small, chunk_size=256, shards=4, shard_mode="auto"
+            clf, chunk_size=256, shards=4, shard_mode="auto"
         )
-        res = pipeline.run(acl_small_trace)
-        can_win = (
-            min(4, os.cpu_count() or 1) >= 2
-            and pipeline._fork_available()
+        workers = min(4, usable_cpus())
+        big, big_oracle = self._tiled(
+            acl_small_trace, acl_small_oracle,
+            max(2, workers) * AUTO_THREADS_MIN_PACKETS_PER_WORKER,
         )
-        assert res.n_shards == (min(4, os.cpu_count() or 1) if can_win else 1)
-        assert np.array_equal(
-            res.match, acc_small.classify_trace(acl_small_trace)
+        forks = fork_count()
+        small = pipeline.run(acl_small_trace)
+        large = pipeline.run(big)
+        assert fork_count() == forks
+        assert small.n_shards == 1
+        assert large.n_shards == workers
+        assert np.array_equal(small.match, acl_small_oracle)
+        assert np.array_equal(large.match, big_oracle)
+        assert pipeline.fork_planned() == (
+            workers >= 2 and pipeline._fork_available()
         )
-        assert pipeline.fork_planned() == can_win
+
+    def test_auto_mode_serves_inline_on_one_usable_cpu(
+        self, acl_small, acl_small_trace, acl_small_oracle, monkeypatch,
+        fork_count,
+    ):
+        # ``os.cpu_count()`` ignores CPU affinity: pinned to one CPU
+        # (``taskset -c 0``) on a multi-core host, "auto" must still
+        # see a single usable CPU, serve inline and plan no fork.
+        if not hasattr(os, "sched_getaffinity"):  # pragma: no cover
+            pytest.skip("CPU affinity is not reported on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        clf = build_backend("hypercuts", acl_small, binth=16, hw_mode=False)
+        pipeline = ClassificationPipeline(
+            clf, chunk_size=256, shards=2, shard_mode="auto"
+        )
+        big, big_oracle = self._tiled(
+            acl_small_trace, acl_small_oracle,
+            2 * AUTO_THREADS_MIN_PACKETS_PER_WORKER,
+        )
+        forks = fork_count()
+        res = pipeline.run(big)
+        assert fork_count() == forks
+        assert res.n_shards == 1
+        assert np.array_equal(res.match, big_oracle)
+        assert not pipeline.fork_planned()
 
     def test_processes_mode_forces_fork(self, acc_small, acl_small_trace):
         # The historical contract: shards > 1 forks whenever the

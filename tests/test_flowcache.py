@@ -26,6 +26,7 @@ from repro.engine import (
     build_cached_backend,
 )
 from repro.energy import CacheEnergyModel
+from repro.engine.flowcache import unique_rows
 
 ALL_BACKENDS = available_backends()
 
@@ -148,6 +149,44 @@ class TestFlowCacheUnit:
         cache.invalidate()
         assert not cache.probe(hdr)[0].any()
         assert cache.stats.invalidations == 1
+
+
+def _dedup_cases():
+    rng = np.random.default_rng(17)
+    flows = rng.integers(0, 1 << 32, size=(40, 5), dtype=np.uint64)
+    repeats = flows[rng.integers(0, 40, size=300)].astype(np.uint32)
+    high = np.array(
+        [[1 << 31, 7, 0, 1, 2], [5, (1 << 32) - 1, 3, 3, 3],
+         [1 << 31, 6, 0, 1, 2], [(1 << 31) - 1, 7, 0, 1, 2],
+         [5, (1 << 32) - 1, 3, 3, 3]],
+        dtype=np.uint32,
+    )
+    last_col = np.zeros((6, 5), dtype=np.uint32)
+    last_col[:, 4] = [9, 3, 9, 0xFFFFFFFF, 3, 1 << 31]
+    return {
+        "random_with_repeats": repeats,
+        "single_row": np.array([[1, 2, 3, 4, 5]], dtype=np.uint32),
+        "all_identical": np.full((50, 5), 0xDEADBEEF, dtype=np.uint32),
+        "differ_in_last_column": last_col,
+        "values_above_2_31": high,
+    }
+
+
+class TestUniqueRows:
+    """The miss dedup must be ``np.unique(axis=0)`` exactly: its row
+    order is the cache fill order, which decides evictions."""
+
+    @pytest.mark.parametrize("case", sorted(_dedup_cases()))
+    def test_matches_np_unique(self, case):
+        rows = _dedup_cases()[case]
+        want_rows, want_inverse = np.unique(
+            rows, axis=0, return_inverse=True
+        )
+        got_rows, got_inverse = unique_rows(rows)
+        assert got_rows.dtype == rows.dtype
+        assert np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_inverse, want_inverse.reshape(-1))
+        assert np.array_equal(got_rows[got_inverse], rows)
 
 
 class TestFlowCacheAging:

@@ -18,6 +18,10 @@ from repro.classbench import churn_schedule, generate_zipf_trace
 from repro.core.errors import ConfigError, ServingFaultError
 from repro.core.rules import DIM_PROTO
 from repro.engine.faults import FaultPlan, FaultSpec
+from repro.engine.pipeline import (
+    AUTO_THREADS_MIN_PACKETS_PER_WORKER,
+    usable_cpus,
+)
 from repro.serve import Engine, EngineConfig
 from repro.stages import (
     STAGE_KINDS,
@@ -227,6 +231,34 @@ class TestBitIdentity:
         assert tcam.drops.get("tcam_miss", 0) == n_miss
         # Prefiltered packets report -1, exactly like a bare no-match.
         assert np.array_equal(report.match, want)
+
+
+class TestLineCardTier:
+    def test_line_card_never_forks(self, acl_small, fork_count):
+        # Segments above the auto floor on two shards are served by the
+        # shard-affine thread tier (one worker per usable CPU): nothing
+        # forks, verdicts match the one-shard graph bit for bit, and
+        # the per-shard caches stay warm from one pass to the next.
+        segment = 2 * AUTO_THREADS_MIN_PACKETS_PER_WORKER + 1000
+        trace = generate_zipf_trace(
+            acl_small, 2 * segment, n_flows=2000, skew=1.0, seed=11
+        )
+        with StageGraph(
+            default_graph({"backend": "hypercuts"}), acl_small
+        ) as graph:
+            want = graph.run(trace, segment_packets=segment).match
+        with StageGraph(
+            default_graph({"backend": "hypercuts", "shards": 2}), acl_small
+        ) as graph:
+            forks = fork_count()
+            first = graph.run(trace, segment_packets=segment)
+            second = graph.run(trace, segment_packets=segment)
+            assert fork_count() == forks
+        assert first.n_segments == 2
+        assert first.n_shards == min(2, usable_cpus())
+        assert np.array_equal(first.match, want)
+        assert np.array_equal(second.match, want)
+        assert second.cache_hit_rate >= first.cache_hit_rate
 
 
 # ---------------------------------------------------------------------------
