@@ -64,7 +64,7 @@ def main() -> None:
     fault = faulted.fault
     print("worker crash, policy=retry:")
     print(f"  {fault.worker_crashes} crash detected "
-          f"(pids {sorted(fault.shard_crashes)}), "
+          f"(shards {sorted(fault.shard_crashes)}), "
           f"{fault.retries} retries, {fault.replays} chunks replayed")
     print(f"  recovery {max(fault.recovery_s) * 1e3:.1f} ms; "
           f"matches bit-identical to the fault-free run")
@@ -77,8 +77,8 @@ def main() -> None:
         min_chunk_packets=0, shard_mode="processes", persistent=True,
         fault_policy="degrade", max_retries=1,
     )
-    # times=10 outlives every persistent-tier retry, forcing the step
-    # down to the transient fork tier (which has no shared arena).
+    # times=10 outlives every fork-tier retry, forcing the step down
+    # to the thread tier (which has no shared arena).
     plan = FaultPlan((FaultSpec(kind="arena", times=10),))
     with Engine.open(config, rules) as engine:
         report = engine.classify(trace, faults=plan)

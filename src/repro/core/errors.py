@@ -51,8 +51,8 @@ class ServingFaultError(ReproError):
     recover from.
 
     Carries the failure coordinates the fault-tolerance contract
-    promises: ``shard`` (worker label — a pid in the fork tiers, a
-    thread index in the thread tier), ``chunk`` (the chunk ordinal
+    promises: ``shard`` (the 0-based chunk-group index of the worker,
+    the same label on every tier), ``chunk`` (the chunk ordinal
     being served when the fault hit), ``epoch`` (the ruleset version in
     effect, when known), ``tier`` (the worker tier that failed) and
     ``cause`` (the underlying exception or fault kind).

@@ -93,7 +93,8 @@ class FaultSpec:
     ``chunk``/``segment``/``batch`` select the target ordinal for the
     relevant kind (``None`` = any chunk / the first segment / any
     batch).  ``shard`` optionally restricts worker faults to one
-    thread-tier shard.  ``stage`` retargets the spec at a named
+    shard (a chunk-group index, the same on the fork and thread
+    tiers).  ``stage`` retargets the spec at a named
     line-card stage (:mod:`repro.stages`) instead of an engine site —
     only ``crash``/``error``/``drop_storm`` make sense there, and
     ``drop_storm`` *requires* a stage.  ``times`` is the number of

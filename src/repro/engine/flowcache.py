@@ -27,10 +27,12 @@ vectorised equivalent of the sequential "first packet misses and fills,
 the rest hit" behaviour — and are counted as hits.  A zero-entry cache
 bypasses entirely (every packet is a backend miss, no coalescing).
 
-Sharding: each pipeline worker forks with a copy-on-write snapshot of
-the cache, so a sharded run maintains one private cache per shard (the
-hardware-natural layout); a persistent pool keeps the per-shard caches
-warm across ``run()`` calls.  Per-chunk hit/miss counts travel back
+Sharding: each fork-tier worker forks with a copy-on-write snapshot of
+the cache (the thread tier clones one per shard), so a sharded run
+maintains one private cache per shard (the hardware-natural layout),
+and every shard serves the same chunks in the same order on every run
+and host; a persistent pool keeps the per-shard caches warm across
+``run()`` calls.  Per-chunk hit/miss counts travel back
 through :class:`~repro.engine.protocol.BatchStats` and are aggregated
 by the pipeline.
 
@@ -278,33 +280,6 @@ class FlowCache:
         self._filled[s, way] = self._tick
         self._tick += np.int64(1)
 
-    def warm(self, headers: np.ndarray, results: np.ndarray) -> None:
-        """Pre-fill from the (header, result) pairs of a finished run.
-
-        Takes the most recent distinct flows (bounded to a few multiples
-        of the cache capacity, so warming a long trace stays O(cache)),
-        deduplicates them and fills normally — the next run starts warm
-        instead of cold.  Lookup/hit/miss and eviction/reclamation
-        counters are untouched: a warm is bookkeeping between runs, not
-        serving traffic.
-        """
-        n = headers.shape[0]
-        if not self.enabled or not n:
-            return
-        tail = min(n, 4 * self.entries)
-        uniq, idx = np.unique(
-            headers[n - tail:], axis=0, return_index=True
-        )
-        evictions, reclamations = (
-            self.stats.evictions, self.stats.reclamations
-        )
-        self.fill(
-            uniq, np.asarray(results[n - tail:], dtype=np.int64)[idx]
-        )
-        self.stats.evictions, self.stats.reclamations = (
-            evictions, reclamations
-        )
-
     def invalidate(self) -> None:
         """Eagerly drop every entry; counters are kept.
 
@@ -517,17 +492,6 @@ class CachedClassifier(ClassifierBase):
             cache_hits=hits,
             cache_misses=n_backend,
             cache_evictions=cache.stats.evictions - evictions_before,
-        )
-
-    # ------------------------------------------------------------------
-    def warm_from_run(
-        self, headers: np.ndarray, match: np.ndarray
-    ) -> None:
-        """Pre-warm this process's cache from a finished run's results
-        (the pipeline calls it after forked runs, whose per-shard fills
-        happened in worker processes and never reached this copy)."""
-        self.cache.warm(
-            np.ascontiguousarray(headers, dtype=np.uint32), match
         )
 
     # ------------------------------------------------------------------

@@ -16,44 +16,47 @@ out over N worker shards, and aggregates per-chunk statistics into one
 
 **Shard modes.**  ``shard_mode`` selects the worker tier:
 
-* ``"processes"`` (the default for direct construction) — ``fork``-based
-  multiprocessing whenever ``shards > 1`` and the platform offers it.
-  The built classifier is inherited copy-on-write, so nothing large is
-  pickled.
+* ``"processes"`` (the default for direct construction) — the fork
+  tier whenever ``shards > 1`` and the platform offers ``fork``.
 * ``"auto"`` (the :class:`~repro.serve.EngineConfig` default) — a
   one-shot ``run()`` of a non-persistent pipeline never forks.  A cost
-  rule picks its tier: the shard-affine thread tier when at least two
-  usable workers (``min(shards, usable CPUs)``) would each get
+  rule picks its tier: the thread tier when at least two usable
+  workers (``min(shards, usable CPUs)``) would each get
   :data:`AUTO_THREADS_MIN_PACKETS_PER_WORKER` packets, inline
-  otherwise.  A persistent pipeline, and a streamed session (which
-  serves through a session-lifetime pool), fork their long-lived pool
-  when at least two usable workers exist.  Usable CPUs are the
-  process's affinity set (:func:`usable_cpus`), so a pinned process is
-  sized for the CPUs it may actually run on.
+  otherwise.  A persistent pipeline, and a streamed session, serve on
+  the fork tier when at least two usable workers exist.  Usable CPUs
+  are the process's affinity set (:func:`usable_cpus`), so a pinned
+  process is sized for the CPUs it may actually run on.
 * ``"threads"`` — a thread pool running the NumPy kernels (which release
   the GIL in their hot loops) in-process: no fork, no IPC, per-shard
-  flow-cache clones that stay warm across runs.  Chunks are assigned
-  round-robin to shard-affine workers, so each shard sees its chunks in
-  order exactly like a process shard would.
+  flow-cache clones that stay warm across runs.
 
-Two fork pool modes exist (``shard_mode="processes"``, and ``"auto"``
-for the persistent pool):
+One worker-count rule holds for both carriers: explicit ``"processes"``
+and ``"threads"`` run exactly ``shards`` workers (clamped to the chunk
+count), so their counters are the same on every host; only ``"auto"``
+clamps to the usable CPUs.  One static chunk schedule holds too
+(:func:`epoch_spans`, :func:`shard_groups`): the chunk grid is split at
+every update barrier, and shard ``s`` of ``W`` serves chunks
+``s, s + W, ...`` of each span, in order.  A chunk's shard label is
+``s`` on every tier, and each shard's private flow cache sees the same
+chunk sequence whichever carrier runs it.
 
-* *transient* (default) — a fresh pool per ``run()``; the classifier and
-  the trace are inherited copy-on-write, chunk results come back pickled
-  through the pool;
-* *persistent* (``persistent=True``) — one pool is forked on first use
-  and reused across ``run()`` calls, amortising fork + warm-up cost over
-  a serving session.  The trace travels through a **pipeline-lifetime
-  shared-memory arena**: input/match/occupancy segments are created once
-  (with growth slack) and reused across runs, the trace is written once
-  into the input segment, and each task ships only a ``(names, bounds,
-  pending)`` descriptor.  Workers cache their segment attachments by
-  name — an attach happens only when the arena grows — and scatter
-  their match/occupancy slices straight into the shared output buffers,
-  so steady-state per-chunk traffic is one tiny descriptor and one tiny
-  scalar tuple.  Results are bit-identical to the other modes at every
-  shard count.
+**The fork tier** is ``W`` fork-context worker processes, each owning
+one duplex pipe; the classifier and the parent's update watermark are
+``Process`` arguments, so fork hands them over copy-on-write and
+nothing large is pickled.  The trace travels through a **shared-memory
+arena**: input/match/occupancy segments are created with growth slack,
+the trace is written once into the input segment, and each worker gets
+one small descriptor for its whole chunk group, scatters its
+match/occupancy slices straight into the shared output buffers, and
+replies once with per-chunk scalars.  The pool has two lifetimes:
+
+* *persistent* (``persistent=True``) — forked on first use and reused
+  across ``run()`` calls until :meth:`ClassificationPipeline.close`,
+  amortising fork + warm-up cost over a serving session; workers keep
+  their arena attachments and flow caches warm between runs;
+* otherwise — the pool (and its arena) lives for one ``run()``, or for
+  one streamed session (:meth:`ClassificationPipeline.hold_pool`).
 
 **Dispatch auto-tuning.**  ``min_chunk_packets`` coalesces chunks until
 each dispatch carries at least that many packets (the engine default
@@ -69,12 +72,12 @@ one from ``EngineConfig.fault_policy``/``max_retries``/
 ``chunk_timeout_s``) and every dispatch is supervised: per-chunk
 deadlines, worker exit-code watch, bounded retry with seeded backoff,
 and — under ``fault_policy="degrade"`` — the worker-tier ladder
-``persistent -> processes -> threads -> inline``.  A fork-tier retry
+``processes -> threads -> inline``.  A fork-tier retry
 tears the pool down and re-forks from the parent, whose classifier is
 only caught up *after* a successful dispatch, so every replayed chunk
 re-applies its exact update prefix and the run stays bit-identical to
-a fault-free one.  The persistent arena carries a generation fence +
-checksum control word each task descriptor repeats, so a replayed
+a fault-free one.  The arena carries a generation fence + checksum
+control word each group descriptor repeats, so a replayed
 attach can never silently read a torn or stale segment.  Injected
 faults (:mod:`repro.engine.faults`) ride the same machinery via
 ``run(trace, faults=plan)``; everything observed lands in
@@ -85,11 +88,12 @@ faults (:mod:`repro.engine.faults`) ride the same machinery via
 each batch takes effect at the first chunk boundary at or after its
 ``at_packet`` offset, so every packet is classified against exactly one
 ruleset version (its chunk's epoch — recorded on
-:class:`ChunkStats.epoch`).  In the forked modes every worker applies
+:class:`ChunkStats.epoch`).  On the fork tier every worker applies
 the same batches in the same deterministic order before touching a
-chunk from a later epoch (each task carries the update prefix it
-requires; a per-process watermark makes re-application a no-op), and
-the parent catches its own copy up after the run; the thread tier
+chunk from a later epoch (each group descriptor carries the update log,
+every batch tagged with the chunk it takes effect at; a worker-local
+watermark makes re-application a no-op), and the parent catches its
+own copy up after the run; the thread tier
 applies each batch exactly once at its chunk boundary (a barrier drains
 in-flight chunks first).  All modes produce identical matches — the
 differential update-conformance suite replays them against a per-epoch
@@ -105,7 +109,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.errors import ArenaCorruptionError, ConfigError
+from ..core.errors import ArenaCorruptionError, ConfigError, WorkerCrashError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, ScheduledUpdate
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
@@ -115,8 +119,9 @@ from .supervision import (
     RECOVERABLE,
     FaultReport,
     SupervisionPolicy,
+    ForkWorker,
     Supervisor,
-    supervised_map,
+    collect_replies,
     teardown_pool,
 )
 
@@ -144,41 +149,21 @@ TAIL_MERGE_DIVISOR = 4
 #: per-chunk work is smaller and the thread pool's start-up weighs more.
 AUTO_THREADS_MIN_PACKETS_PER_WORKER = 16384
 
-#: Persistent-pool update-log watermark: once this many batches have
+#: Long-lived-pool update-log watermark: once this many batches have
 #: accumulated for one pool's lifetime, the pool is re-forked (from the
-#: caught-up parent) instead of shipping an ever-growing prefix with
-#: every chunk task.
+#: caught-up parent) instead of shipping an ever-growing log with every
+#: group descriptor.
 POOL_LOG_MAX_BATCHES = 64
 
-#: Module global holding (classifier, headers) across a ``fork`` so
-#: worker shards inherit them copy-on-write instead of via pickling.
-#: ``headers`` is ``None`` for persistent pools (the trace then arrives
-#: through the shared-memory arena).
-_SHARD_STATE: tuple[Classifier, np.ndarray | None] | None = None
-
-#: Per-process watermark of the last applied update-batch sequence
-#: number.  Set in the parent immediately before forking a pool so the
-#: children inherit it, then advanced worker-locally as shipped batches
-#: are applied — a batch is applied at most once per process, and always
-#: in sequence order.
-_WORKER_SEQ = 0
-
-#: Per-worker cache of shared-memory arena attachments, keyed by the
-#: segment-name tuple.  The parent's arena is pipeline-lifetime, so in
-#: steady state a worker attaches once and reuses the mapped segments
-#: for every later chunk; a name change (the arena grew) swaps them.
-_ARENA_ATTACH: dict = {"names": None, "segs": ()}
-
-#: One update batch as shipped to workers: (sequence number, ops).
+#: One batch of the pool-lifetime update log: (sequence number, ops).
 PendingUpdate = tuple[int, tuple[RuleUpdate, ...]]
 
 #: One processed chunk: (match, occupancy | None,
 #: (hits, misses, evictions) | None, shard label).  The cache triple is
 #: present only when the classifier is a flow-cached front-end (see
-#: :mod:`repro.engine.flowcache`).  The shard label identifies which
-#: worker served the chunk (a pid in the fork tiers, a thread index in
-#: the thread tier, 0 single-process); the aggregator densifies labels
-#: into 0-based shard ids.
+#: :mod:`repro.engine.flowcache`).  The shard label is the 0-based
+#: index of the chunk group that served the chunk (0 on the inline
+#: tier).
 ChunkOutput = tuple[
     np.ndarray, np.ndarray | None, tuple[int, int, int] | None, int
 ]
@@ -204,108 +189,117 @@ class _ScheduledEntry:
     batch: tuple[RuleUpdate, ...]
 
 
-def _apply_pending(
-    classifier: Classifier, pending: tuple[PendingUpdate, ...]
-) -> None:
-    """Catch this process's classifier copy up to the newest shipped
-    batch.  Sequence numbers are globally ordered and tasks reach each
-    worker in increasing chunk order, so the watermark guarantees every
-    process applies every batch exactly once, in order."""
-    global _WORKER_SEQ
-    for seq, batch in pending:
-        if seq > _WORKER_SEQ:
-            classifier.apply_updates(batch)
-            _WORKER_SEQ = seq
+def epoch_spans(n_chunks: int, entries) -> list[range]:
+    """Split the chunk grid at every update barrier: the chunks of one
+    span all serve one ruleset epoch (an update effective at chunk 0
+    applies before the first span, so it cuts nothing)."""
+    cuts = sorted({
+        e.effect_chunk for e in entries if 0 < e.effect_chunk < n_chunks
+    })
+    edges = [0, *cuts, n_chunks]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _run_chunk(task) -> ChunkOutput:
-    index, bounds, pending, specs = task
-    assert _SHARD_STATE is not None
-    classifier, headers = _SHARD_STATE
-    if specs:
-        fire_worker_specs(specs, in_process=False, chunk=index)
-    if pending:
-        _apply_pending(classifier, pending)
-    match, occ, cache = _run_chunk_local(classifier, headers, bounds)
-    return match, occ, cache, os.getpid()
+def shard_groups(span: range, workers: int) -> list[list[int]]:
+    """The static chunk -> shard schedule both carriers follow: shard
+    ``s`` serves chunks ``span[s::workers]``, in order."""
+    return [list(span[s::workers]) for s in range(workers)]
 
 
-def _attach_arena(names: tuple[str, ...]):
-    """Return this worker's mapped arena segments, (re)attaching only
-    when the segment names changed (the parent grew the arena).
+def _fork_worker(conn, classifier, applied: int, shard: int, inherited):
+    """Body of fork-tier worker ``shard``: serve one chunk group per
+    request until the parent closes the pipe.
 
-    Attaching re-registers the name with the resource tracker, but the
-    workers are forked *after* the parent has started the tracker (see
-    ``ClassificationPipeline._ensure_pool``), so parent and workers
+    ``classifier`` and ``applied`` (the parent's update watermark at
+    fork time) arrive as ``Process`` arguments, inherited across the
+    fork.  ``inherited`` holds the parent ends of the pipes that exist
+    at fork time; closing them here lets EOF reach this worker when the
+    parent goes away.  Each request is a small descriptor (see
+    ``ClassificationPipeline._run_processes``); the reply is one
+    ``(ok, payload)`` pair: per-chunk ``(has_occupancy, cache triple)``
+    on success, the raised exception otherwise.
+
+    Arena attachments are cached by segment names, so a worker attaches
+    again only when the parent grew the arena.  Attaching re-registers
+    the name with the resource tracker, but the workers are forked
+    *after* the parent started the tracker (``_ensure_pool``), so they
     share one tracker process and the duplicate registration is a set
-    no-op — the parent's unlink (on arena growth or ``close()``) remains
-    the single owner of the segment lifecycle.
+    no-op — the parent's unlink stays the single owner of the segment
+    lifecycle.
     """
-    global _ARENA_ATTACH
-    if _ARENA_ATTACH["names"] != names:
-        from multiprocessing import shared_memory
+    from multiprocessing import shared_memory
 
-        for shm in _ARENA_ATTACH["segs"]:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - stale views
-                pass
-        segs = tuple(shared_memory.SharedMemory(name=n) for n in names)
-        _ARENA_ATTACH = {"names": names, "segs": segs}
-    return _ARENA_ATTACH["segs"]
+    for c in inherited:
+        c.close()
+    names, segs = None, ()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            if task[0] != names:
+                for shm in segs:
+                    try:
+                        shm.close()
+                    except BufferError:  # pragma: no cover - stale views
+                        pass
+                names = task[0]
+                segs = tuple(
+                    shared_memory.SharedMemory(name=n) for n in names
+                )
+            out, applied = _serve_group(classifier, segs, shard, task, applied)
+            reply = (True, out)
+        except Exception as exc:  # noqa: BLE001 - relayed to the parent
+            reply = (False, exc)
+        conn.send(reply)
 
 
-def _run_chunk_shm(task) -> tuple[bool, tuple[int, int, int] | None, int]:
-    """Persistent-pool worker: classify one chunk, write results into the
-    shared arena, return only whether occupancy was modelled plus the
-    chunk's flow-cache triple and this worker's shard label (the parent
-    aggregates everything else from the shared arrays).
-
-    The task is a tiny descriptor — segment names, the trace shape, the
-    chunk bounds, the update prefix, the arena's expected control word
-    and any injected fault specs.  In steady state (arena unchanged
-    since the last run) the worker's cached attachment is reused, so no
-    ``shm_open``/``mmap`` happens at all; the headers and output views
-    are zero-copy windows into the shared segments.
+def _serve_group(classifier, segs, shard: int, task, applied: int):
+    """Serve one chunk group out of the arena ``segs``; returns the
+    per-chunk replies and the advanced update watermark.
 
     Before reading the trace the worker verifies the arena's control
     segment — a (generation, checksum) pair the parent wrote *after*
-    the trace — against the values repeated in this task.  A mismatch
-    means the attach would read a torn or stale arena (e.g. a replayed
-    chunk racing an arena growth), and raises
-    :class:`~repro.core.errors.ArenaCorruptionError` instead of
-    silently serving garbage.
+    the trace — against the values repeated in the descriptor.  A
+    mismatch means the attach would read a torn or stale arena, and
+    raises :class:`~repro.core.errors.ArenaCorruptionError` instead of
+    silently serving garbage.  Each chunk then fires its injected fault
+    specs, applies every logged batch in effect at the chunk that this
+    process has not applied yet (batches are ordered by sequence number
+    and effect chunk, and a shard serves its chunks in order, so each
+    applies exactly once), and scatters its results.
     """
-    names, shape, dtype, index, bounds, pending, ctl_expected, specs = task
-    assert _SHARD_STATE is not None
-    classifier = _SHARD_STATE[0]
-    if specs:
-        fire_worker_specs(specs, in_process=False, chunk=index)
-    if pending:
-        _apply_pending(classifier, pending)
-    segs = _attach_arena(names)
+    _, shape, dtype, ctl_expected, log, chunks = task
     ctl = np.ndarray((2,), np.uint64, buffer=segs[3].buf)
     seen = (int(ctl[0]), int(ctl[1]))
     if seen != tuple(ctl_expected):
         raise ArenaCorruptionError(
-            f"arena fence mismatch serving chunk {index}: "
+            f"arena fence mismatch serving chunk {chunks[0][0]}: "
             f"generation/checksum {seen[0]}/{seen[1]:#x} != expected "
             f"{ctl_expected[0]}/{ctl_expected[1]:#x}",
-            chunk=index,
-            shard=os.getpid(),
+            chunk=chunks[0][0],
+            shard=shard,
             cause="arena",
         )
     n = shape[0]
-    start, end = bounds
     headers = np.ndarray(shape, dtype=dtype, buffer=segs[0].buf)
-    match, occ, cache = _run_chunk_local(classifier, headers, bounds)
-    has_occ = occ is not None
-    np.ndarray((n,), np.int64, buffer=segs[1].buf)[start:end] = match
-    if has_occ:
-        np.ndarray((n,), np.int64, buffer=segs[2].buf)[start:end] = occ
-    # Views die with this frame; the cached segments stay mapped.
-    del headers, match, occ
-    return has_occ, cache, os.getpid()
+    match_out = np.ndarray((n,), np.int64, buffer=segs[1].buf)
+    occ_out = np.ndarray((n,), np.int64, buffer=segs[2].buf)
+    out = []
+    for index, (start, end), specs in chunks:
+        if specs:
+            fire_worker_specs(specs, in_process=False, chunk=index, shard=shard)
+        for seq, effect, batch in log:
+            if seq > applied and effect <= index:
+                classifier.apply_updates(batch)
+                applied = seq
+        match, occ, cache = _run_chunk_local(classifier, headers, (start, end))
+        match_out[start:end] = match
+        if occ is not None:
+            occ_out[start:end] = occ
+        out.append((occ is not None, cache))
+    return out, applied
 
 
 def aggregate_shard_cache_stats(chunks) -> list[dict]:
@@ -342,8 +336,9 @@ class ChunkStats:
     chunk was classified against (``None`` when the backend is not
     updatable); ``updates_applied`` counts the update *operations* that
     took effect immediately before this chunk.  ``shard`` is the
-    0-based id of the worker that served the chunk (0 single-process;
-    ids are densified in first-served order across the run).
+    0-based index of the chunk group that served the chunk (see
+    :func:`shard_groups`; 0 on the inline tier) — the same label on the
+    fork and thread tiers.
     """
 
     index: int
@@ -371,7 +366,7 @@ class PipelineResult:
     whenever the single-process fallback served the trace (no ``fork``
     on the platform, a single chunk, ``shards=1``, or the ``"auto"``
     cost rule choosing inline), else the worker count after clamping to
-    chunk and usable-CPU counts.
+    the chunk count (and, under ``"auto"``, the usable CPUs).
     """
 
     match: np.ndarray
@@ -382,8 +377,8 @@ class PipelineResult:
     backend: str = "classifier"
     occupancy: np.ndarray | None = field(default=None, repr=False)
     #: Flow-cache totals over all chunks (``None`` on bare backends).
-    #: Counts come back from whichever process served each chunk, so
-    #: they are correct in forked/persistent modes too.
+    #: Counts come back from whichever worker served each chunk, so
+    #: they are correct on the fork tier too.
     cache_hits: int | None = None
     cache_misses: int | None = None
     cache_evictions: int | None = None
@@ -471,32 +466,32 @@ class ClassificationPipeline:
     """Stream traces through a classifier in chunks across N shards.
 
     ``shard_mode`` picks the worker tier (see the module docstring):
-    ``"processes"`` forces fork-based sharding whenever ``shards > 1``
-    (the historical behaviour, and the right mode for conformance tests
-    that must exercise the fork transport), ``"auto"`` serves one-shot
-    runs on threads or inline by a packets-per-worker cost rule and
-    forks only a persistent or stream-lifetime pool, ``"threads"`` runs
-    shard-affine workers in a thread pool with per-shard flow-cache
-    clones.
+    ``"processes"`` serves on the fork tier whenever ``shards > 1``
+    (the right mode for conformance tests that must exercise the fork
+    transport), ``"auto"`` serves one-shot runs on threads or inline by
+    a packets-per-worker cost rule and forks only a persistent or
+    stream-lifetime pool, ``"threads"`` runs shard-affine workers in a
+    thread pool with per-shard flow-cache clones.
 
-    With ``persistent=True`` the forked worker pool survives across
-    ``run()`` calls (create once, serve many traces) and traces/results
-    travel through a pipeline-lifetime shared-memory arena instead of
-    pickles.  Use :meth:`close` — or the pipeline as a context manager —
-    to tear the pool (and arena) down deterministically.
+    The pipeline owns the fork pool's lifetime: with ``persistent=True``
+    the pool survives across ``run()`` calls (create once, serve many
+    traces) until :meth:`close` — or the end of a ``with`` block —
+    tears the pool and its shared-memory arena down; otherwise it lives
+    for one ``run()``, or between :meth:`hold_pool` and
+    :meth:`release_pool` (one streamed session).
 
     Rule updates belong *inside* ``run(trace, updates=...)``: the update
-    stream is applied with deterministic epoch semantics in every pool
-    mode, including persistent pools (each task ships the update prefix
-    its chunk requires, and the long-lived workers catch up exactly
-    once per batch).  The one remaining caveat is **out-of-band**
-    mutation: the persistent workers hold the copy-on-write snapshot of
-    the classifier taken when the pool forked, so mutating the
-    classifier directly (e.g. ``IncrementalClassifier.insert`` between
-    runs) does not reach them — call :meth:`close` after such a
-    mutation and the next ``run()`` forks a fresh pool.  (Transient
-    mode re-forks per run and needs no such step; the thread tier
-    shares the live classifier and tracks its ``update_epoch``.)
+    stream is applied with deterministic epoch semantics on every tier,
+    including long-lived pools (each group descriptor ships the update
+    log, and the workers catch up exactly once per batch).  The one
+    remaining caveat is **out-of-band** mutation: a long-lived pool's
+    workers hold the copy-on-write snapshot of the classifier taken
+    when the pool forked, so mutating the classifier directly (e.g.
+    ``IncrementalClassifier.insert`` between runs) does not reach them —
+    call :meth:`close` after such a mutation and the next ``run()``
+    forks a fresh pool.  (A run-scoped pool forks per run and needs no
+    such step; the thread tier shares the live classifier and tracks
+    its ``update_epoch``.)
     """
 
     def __init__(
@@ -536,12 +531,17 @@ class ClassificationPipeline:
         #: through the supervisor.
         self.policy = policy
         self._supervisor = Supervisor(policy) if policy is not None else None
-        self._pool = None
-        self._pool_size = 0
-        #: Pipeline-lifetime shared-memory arena for the persistent
-        #: pool: ``{"names": (in, out, occ, ctl), "segs": [...]}``,
-        #: grown (re-created larger) only when a trace outsizes it.  The
-        #: ctl segment holds the (generation, checksum) fence pair.
+        #: The fork tier's workers (:class:`ForkWorker` per shard), or
+        #: ``None`` while no pool is alive.
+        self._pool: list[ForkWorker] | None = None
+        #: Whether a streamed session holds the pool across runs
+        #: (:meth:`hold_pool`).
+        self._held = False
+        #: The fork pool's shared-memory arena:
+        #: ``{"names": (in, out, occ, ctl), "segs": [...]}``, grown
+        #: (re-created larger) only when a trace outsizes it, released
+        #: with the pool.  The ctl segment holds the (generation,
+        #: checksum) fence pair.
         self._arena: dict | None = None
         #: Monotonic arena-content generation: bumped every time the
         #: parent (re)writes the input segment, never reset, so a stale
@@ -556,16 +556,16 @@ class ClassificationPipeline:
         #: parent process's applied-batch watermark.
         self._update_seq = 0
         self._applied_seq = 0
-        #: Batches applied while the current persistent pool has been
-        #: alive.  Shipped (cheaply — workers skip applied seqs) with
-        #: every later task so a worker that never saw an earlier run's
+        #: Batches applied while the current pool has been alive.
+        #: Shipped (cheaply — workers skip applied seqs) with every
+        #: later group so a worker that never saw an earlier run's
         #: chunks still applies its updates before any newer ones.
         self._pool_log: list[PendingUpdate] = []
 
-    # -- persistent-pool lifecycle --------------------------------------
+    # -- fork-pool lifecycle --------------------------------------------
     def close(self) -> None:
-        """Tear down the persistent worker pool and its shared-memory
-        arena (no-op otherwise).
+        """Tear down the fork pool and its shared-memory arena (no-op
+        when none is alive).
 
         Teardown is bounded: after ``terminate()`` every worker is
         joined against a shared deadline and SIGKILLed if it overstays
@@ -576,7 +576,6 @@ class ClassificationPipeline:
         if self._pool is not None:
             teardown_pool(self._pool, deadline_s=5.0)
             self._pool = None
-            self._pool_size = 0
         self._release_arena()
         self._pool_log.clear()
 
@@ -594,18 +593,42 @@ class ClassificationPipeline:
             # shared_memory internals under us; nothing left to reap.
             pass
 
-    def _ensure_pool(self, ndim: int):
-        """Fork the persistent pool on first use; reuse it afterwards."""
+    def hold_pool(self, ndim: int) -> bool:
+        """Fork the pool now and keep it across ``run()`` calls until
+        :meth:`release_pool` — one streamed session's lifetime.  The
+        engine calls this before it starts its serving threads (forking
+        a multi-threaded process risks inheriting held locks).  Returns
+        whether a pool is held: ``False`` when this pipeline would not
+        fork (see :meth:`fork_planned`)."""
+        if not self.fork_planned():
+            return False
+        self._held = True
+        try:
+            self._ensure_pool(ndim)
+        except BaseException:
+            self.release_pool()
+            raise
+        return True
+
+    def release_pool(self) -> None:
+        """End a :meth:`hold_pool` session: a persistent pool stays
+        alive, any other pool is torn down."""
+        self._held = False
+        if not self.persistent:
+            self.close()
+
+    def _ensure_pool(self, ndim: int, n_chunks: int | None = None):
+        """Fork the pool on first use; reuse it afterwards.  A pool
+        scoped to one run forks only the workers that run engages."""
         if self._pool is None:
             import multiprocessing
 
-            global _SHARD_STATE, _WORKER_SEQ
             ctx = multiprocessing.get_context("fork")
             try:
                 # Start the resource tracker *before* forking: the
                 # workers then share the parent's tracker process, which
                 # keeps shared-memory bookkeeping single-owner (see
-                # ``_attach_arena``).
+                # ``_fork_worker``).
                 from multiprocessing import resource_tracker
 
                 resource_tracker.ensure_running()
@@ -614,21 +637,35 @@ class ClassificationPipeline:
             # Build every lazy batch structure before forking so workers
             # inherit them copy-on-write.
             warm_batch_state(self.classifier, ndim)
-            self._pool_size = min(self.shards, usable_cpus())
-            _SHARD_STATE = (self.classifier, None)
-            # Children inherit the parent's applied-update watermark:
-            # every batch the forked snapshot already contains is
-            # filtered out of the shipped prefixes.
-            _WORKER_SEQ = self._applied_seq
+            workers = self._worker_count()
+            if n_chunks is not None and not (self.persistent or self._held):
+                workers = min(workers, n_chunks)
+            pool: list[ForkWorker] = []
             try:
-                self._pool = ctx.Pool(processes=self._pool_size)
-            finally:
-                # Workers hold their copy-on-write snapshot; the parent
-                # global is only needed across the fork itself.
-                _SHARD_STATE = None
+                for shard in range(workers):
+                    conn, child = ctx.Pipe()
+                    # Children start at the parent's applied-update
+                    # watermark: every batch the forked snapshot
+                    # already contains is skipped in the shipped log.
+                    proc = ctx.Process(
+                        target=_fork_worker,
+                        args=(
+                            child, self.classifier, self._applied_seq,
+                            shard, [w.conn for w in pool] + [conn],
+                        ),
+                        name=f"repro-shard-{shard}",
+                        daemon=True,
+                    )
+                    proc.start()
+                    child.close()
+                    pool.append(ForkWorker(proc, conn))
+            except BaseException:
+                teardown_pool(pool)
+                raise
+            self._pool = pool
         return self._pool
 
-    # -- shared-memory arena (persistent pool transport) ----------------
+    # -- shared-memory arena (fork-tier transport) -----------------------
     def _release_arena(self) -> None:
         if self._arena is not None:
             for shm in self._arena["segs"]:
@@ -642,7 +679,7 @@ class ClassificationPipeline:
     def _ensure_arena(self, headers: np.ndarray) -> dict:
         """Return an arena large enough for ``headers``; grow (re-create
         with 25% slack and fresh names) only when the trace outsizes the
-        current one.  Workers notice the new names on their next task
+        current one.  Workers notice the new names on their next group
         and swap attachments; the old (unlinked) segments free once the
         last attachment drops."""
         need_in = max(1, headers.nbytes)
@@ -672,7 +709,7 @@ class ClassificationPipeline:
     def _seal_arena(self, arena: dict, headers: np.ndarray) -> tuple[int, int]:
         """Write the arena control word *after* the trace: a fresh
         generation number plus a content checksum.  Returns the pair for
-        task descriptors — workers verify it before reading."""
+        the group descriptors — workers verify it before reading."""
         self._arena_generation += 1
         checksum = int(headers.sum(dtype=np.uint64))
         ctl = np.ndarray((2,), np.uint64, buffer=arena["segs"][3].buf)
@@ -704,15 +741,11 @@ class ClassificationPipeline:
         """How many workers a multi-chunk, update-free run of ``n``
         packets could engage under the configured shard mode on this
         host."""
-        if self.shards <= 1:
-            return 1
-        if self.shard_mode == "threads":
-            return self.shards
         if self._auto_one_shot():
-            return self._thread_workers() if self._auto_threads(n) else 1
-        if not self._fork_available():
-            return 1
-        return min(self.shards, usable_cpus())
+            return self._worker_count() if self._auto_threads(n) else 1
+        if self.shard_mode == "threads" or self._fork_engages():
+            return self._worker_count()
+        return 1
 
     def _effective_chunk_size(
         self, has_updates: bool, n: int | None = None
@@ -749,31 +782,30 @@ class ClassificationPipeline:
             return False
 
     def _fork_engages(self, n_chunks: int | None = None) -> bool:
-        """Whether the fork tier should serve a multi-chunk run.
-
-        ``"processes"`` always forks (the historical contract — the
-        conformance suites rely on it to exercise the transport);
-        ``"auto"`` (persistent or stream-lifetime pools only) declines
-        when clamping to usable CPUs (and chunks) leaves fewer than two
-        workers, because a 1-worker pool pays fork + IPC for zero
-        parallelism.
-        """
-        if self.shard_mode == "processes":
-            return True
-        workers = min(self.shards, usable_cpus())
+        """Whether the fork tier serves a run of ``n_chunks`` chunks:
+        the platform offers ``fork`` and at least two workers engage (a
+        1-worker pool pays fork + IPC for zero parallelism).  Explicit
+        ``"processes"`` with ``shards > 1`` always qualifies; only
+        ``"auto"``, clamped to the usable CPUs, can decline."""
+        workers = self._worker_count()
         if n_chunks is not None:
             workers = min(workers, n_chunks)
-        return workers >= 2
+        return workers >= 2 and self._fork_available()
 
     def _auto_one_shot(self) -> bool:
         """Whether ``run()`` serves under the ``auto`` cost rule: an
-        ``auto`` pipeline without a persistent pool never forks."""
-        return self.shard_mode == "auto" and not self.persistent
+        ``auto`` pipeline that neither is persistent nor holds a
+        session pool never forks."""
+        return self.shard_mode == "auto" and not (
+            self.persistent or self._held
+        )
 
-    def _thread_workers(self) -> int:
-        """Thread-tier worker count before clamping to the chunk count:
-        under ``auto`` only as many shards as this process can run at
-        once, else the configured shards."""
+    def _worker_count(self) -> int:
+        """The one worker-count rule both carriers follow, before
+        clamping to the chunk count: explicit ``"processes"`` and
+        ``"threads"`` run exactly ``shards`` workers (so their counters
+        are the same on every host); ``"auto"`` runs only as many as
+        this process has usable CPUs."""
         if self.shard_mode == "auto":
             return min(self.shards, usable_cpus())
         return self.shards
@@ -782,7 +814,7 @@ class ClassificationPipeline:
         """The ``auto`` cost rule: threads when at least two usable
         workers would each get ``AUTO_THREADS_MIN_PACKETS_PER_WORKER``
         packets of an ``n``-packet run, inline otherwise."""
-        workers = self._thread_workers()
+        workers = self._worker_count()
         return (
             workers >= 2
             and n // workers >= AUTO_THREADS_MIN_PACKETS_PER_WORKER
@@ -790,19 +822,13 @@ class ClassificationPipeline:
 
     def fork_planned(self) -> bool:
         """Whether a streamed session forks worker processes — the
-        question :class:`~repro.serve.Engine` asks before starting its
-        serving threads (forking a multi-threaded process risks
-        inheriting held locks).  A stream serves through a
-        session-lifetime pool, so this describes ``"processes"`` and
-        ``"auto"`` pipelines alike; a one-shot ``run()`` of a
-        non-persistent ``"auto"`` pipeline never forks (see
-        :meth:`_select_tier`)."""
-        return (
-            self.shards > 1
-            and self.shard_mode != "threads"
-            and self._fork_available()
-            and self._fork_engages()
-        )
+        question :class:`~repro.serve.Engine` asks (through
+        :meth:`hold_pool`) before starting its serving threads.  A
+        stream serves through a session-lifetime pool, so this describes
+        ``"processes"`` and ``"auto"`` pipelines alike; a one-shot
+        ``run()`` of a non-persistent ``"auto"`` pipeline never forks
+        (see :meth:`_select_tier`)."""
+        return self.shard_mode != "threads" and self._fork_engages()
 
     # -- update-stream plumbing -----------------------------------------
     def _normalise_updates(
@@ -905,43 +931,24 @@ class ClassificationPipeline:
                 results.append(result)
         return results
 
-    def _chunk_prefixes(
-        self, bounds: list[tuple[int, int]], entries: list[_ScheduledEntry]
-    ) -> list[tuple[PendingUpdate, ...]]:
-        """Per-chunk update prefix a worker must have applied: the
-        current pool's historical batches plus this run's batches up to
-        the chunk's epoch."""
-        acc: list[PendingUpdate] = list(self._pool_log)
-        prefixes = []
-        idx = 0
-        for i in range(len(bounds)):
-            while idx < len(entries) and entries[idx].effect_chunk <= i:
-                acc.append((entries[idx].seq, entries[idx].batch))
-                idx += 1
-            prefixes.append(tuple(acc))
-        return prefixes
-
     # -- tier selection & supervised dispatch ---------------------------
     def _select_tier(self, n_chunks: int, n: int) -> str:
         """The worker tier a run of ``n`` packets in ``n_chunks`` chunks
         starts on (supervision changes *recovery*, never the fault-free
-        tier choice).  ``auto`` without a persistent pool never forks:
-        a fresh fork pool per run loses to the thread tier in every
+        tier choice).  ``auto`` without a persistent or held pool never
+        forks: a fork pool per run loses to the thread tier in every
         cell measured, so the cost rule picks threads or inline."""
-        multi = self.shards > 1 and n_chunks > 1
-        if multi:
+        if self.shards > 1 and n_chunks > 1:
             if self.shard_mode == "threads":
                 return "threads"
             if self._auto_one_shot():
                 return "threads" if self._auto_threads(n) else "inline"
-            if self._fork_available() and self._fork_engages(n_chunks):
-                return "persistent" if self.persistent else "processes"
+            if self._fork_engages(n_chunks):
+                return "processes"
         return "inline"
 
     def _tier_available(self, tier: str) -> bool:
-        if tier in ("persistent", "processes"):
-            return self._fork_available()
-        return True
+        return tier != "processes" or self._fork_available()
 
     def _timeout_s(self) -> float:
         if self._supervisor is None:
@@ -955,15 +962,6 @@ class ClassificationPipeline:
         no silent hangs, no retries)."""
         return self._supervisor is not None or plan is not None
 
-    @staticmethod
-    def _chunk_specs(plan: FaultPlan | None, n_chunks: int, attempt: int):
-        """Per-chunk injected-fault specs for one dispatch attempt,
-        resolved in the parent and shipped inside the task descriptors
-        so workers need no shared plan state."""
-        if plan is None:
-            return [()] * n_chunks
-        return [plan.worker_faults(i, attempt) for i in range(n_chunks)]
-
     def _run_supervised(
         self,
         tier: str,
@@ -973,15 +971,15 @@ class ClassificationPipeline:
         update_results: list,
         update_latencies: list[float],
         plan: FaultPlan | None,
-    ) -> tuple[list[ChunkOutput], int, FaultReport, str]:
+    ) -> tuple[list[ChunkOutput], int, FaultReport]:
         """Dispatch with recovery: bounded same-tier retries, then —
         under ``fault_policy="degrade"`` — the tier ladder.
 
         Whole-dispatch replay is safe exactly because the parent's
         classifier is caught up only *after* a successful fork-tier
         dispatch: a failed attempt leaves the parent at the pre-run
-        epoch, the retry re-forks from that snapshot, and every task
-        re-ships its chunk's exact update prefix.  The thread and
+        epoch, the retry re-forks from that snapshot, and every group
+        descriptor re-ships its chunks' exact update log.  The thread and
         inline tiers apply updates *mid*-dispatch instead, so their
         recovery is per-chunk (inside the tier) — if one of them still
         fails after updates took effect, replay would serve early
@@ -1016,17 +1014,11 @@ class ClassificationPipeline:
                         update_results, update_latencies,
                         plan=plan, attempt=attempt, report=report,
                     )
-                    return outputs, workers, report, t
+                    return outputs, workers, report
                 except RECOVERABLE as exc:
                     detected = time.perf_counter()
                     last_exc = exc
                     report.record_failure(exc)
-                    if t == "persistent":
-                        # The failed dispatch poisons the long-lived
-                        # pool (and possibly the arena); reap both so
-                        # the next attempt re-forks from the parent
-                        # snapshot and reseals a fresh arena.
-                        self.close()
                     if policy.fault_policy == "fail":
                         raise sup.wrap_failure(exc, tier=t) from exc
                     if self._applied_seq != seq_before:
@@ -1067,15 +1059,19 @@ class ClassificationPipeline:
             update_results.extend(
                 self._parent_apply(entries, update_latencies, plan, report)
             )
-        elif tier in ("persistent", "processes"):
-            if tier == "persistent":
-                outputs, workers = self._run_persistent(
+        elif tier == "processes":
+            try:
+                outputs, workers = self._run_processes(
                     headers, bounds, entries, plan=plan, attempt=attempt
                 )
-            else:
-                outputs, workers = self._run_forked(
-                    headers, bounds, entries, plan=plan, attempt=attempt
-                )
+            except BaseException:
+                # A failed dispatch poisons the pool (and possibly the
+                # arena); reap both so a retry re-forks from the parent
+                # snapshot and reseals a fresh arena.
+                self.close()
+                raise
+            if not (self.persistent or self._held):
+                self.close()  # a run-scoped pool dies with its run
             # The parent's copy catches up after the run (its state then
             # matches the workers', and later forks inherit it).  On a
             # failed dispatch this is never reached — which is what
@@ -1127,14 +1123,11 @@ class ClassificationPipeline:
         fault_report: FaultReport | None = None
         started = time.perf_counter()
         if self._supervised(plan):
-            outputs, workers, fault_report, served_tier = (
-                self._run_supervised(
-                    tier, headers, bounds, entries,
-                    update_results, update_latencies, plan,
-                )
+            outputs, workers, fault_report = self._run_supervised(
+                tier, headers, bounds, entries,
+                update_results, update_latencies, plan,
             )
         else:
-            served_tier = tier
             outputs, workers = self._run_tier(
                 tier, headers, bounds, entries,
                 update_results, update_latencies,
@@ -1145,92 +1138,45 @@ class ClassificationPipeline:
             # these batches too (applied-at-most-once via the watermark).
             self._pool_log.extend((e.seq, e.batch) for e in entries)
             if len(self._pool_log) > POOL_LOG_MAX_BATCHES:
-                # Bound the per-task prefix (and parent memory): the
+                # Bound the shipped log (and parent memory): the
                 # parent is fully caught up after every run, so tearing
                 # the pool down here is safe — the next run re-forks
                 # from the current state with an empty log.
                 self.close()
         elapsed = time.perf_counter() - started
-        result = self._aggregate(
+        return self._aggregate(
             outputs, bounds, n, elapsed, workers,
             entries=entries, base_epoch=base_epoch,
             update_results=update_results,
             update_latencies=update_latencies,
             fault=fault_report,
         )
-        if (
-            served_tier == "processes"
-            and not entries
-            and result.cache_hits is not None
-            and hasattr(self.classifier, "warm_from_run")
-        ):
-            # Transient shards filled *their* (copy-on-write) caches and
-            # died with them; seed the parent's cache from the run's
-            # results so the next fork inherits a warm cache instead of
-            # cold-starting every run.  Skipped when updates ran (the
-            # results span epochs) and in persistent mode (the live
-            # workers already keep their caches warm).
-            self.classifier.warm_from_run(headers, result.match)
-        return result
 
-    def _run_forked(
+    def _run_processes(
         self,
         headers: np.ndarray,
         bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry] | None = None,
+        entries: list[_ScheduledEntry],
         *,
         plan: FaultPlan | None = None,
         attempt: int = 0,
     ) -> tuple[list[ChunkOutput], int]:
-        import multiprocessing
+        """One run on the fork tier, over the shared-memory arena.
 
-        global _SHARD_STATE, _WORKER_SEQ
-        ctx = multiprocessing.get_context("fork")
-        workers = min(self.shards, len(bounds), usable_cpus())
-        # Warm any lazily-built batch structures (e.g. the tuple-space
-        # probe tables) in the parent so the forked children inherit
-        # them copy-on-write instead of each rebuilding them.
-        warm_batch_state(self.classifier, headers.shape[1])
-        prefixes = self._chunk_prefixes(bounds, entries or [])
-        specs = self._chunk_specs(plan, len(bounds), attempt)
-        tasks = list(zip(range(len(bounds)), bounds, prefixes, specs))
-        _SHARD_STATE = (self.classifier, headers)
-        _WORKER_SEQ = self._applied_seq
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                if self._supervised(plan):
-                    return supervised_map(
-                        pool, _run_chunk, tasks,
-                        timeout_s=self._timeout_s(),
-                    ), workers
-                return pool.map(_run_chunk, tasks), workers
-        finally:
-            _SHARD_STATE = None
-
-    def _run_persistent(
-        self,
-        headers: np.ndarray,
-        bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry] | None = None,
-        *,
-        plan: FaultPlan | None = None,
-        attempt: int = 0,
-    ) -> tuple[list[ChunkOutput], int]:
-        """One run over the long-lived pool with arena transport.
-
-        The trace is copied once into the pipeline-lifetime input
-        segment; workers scatter their match/occupancy slices into the
-        shared output segments and return scalars only.  Segments are
-        *not* created or unlinked per run — the arena persists (and
-        workers keep their attachments) until a larger trace forces a
-        growth or the pipeline closes.
+        The trace is copied once into the arena's input segment and
+        sealed.  Each engaged worker then gets one descriptor for its
+        whole chunk group — segment names, trace shape, the expected
+        control word, the update log as ``(seq, effect chunk, batch)``
+        (the pool's earlier batches plus this run's), and per chunk
+        ``(index, bounds, fault specs)`` — scatters its match/occupancy
+        slices into the shared output segments and replies once with
+        scalars.
         """
-        pool = self._ensure_pool(headers.shape[1])
+        n_chunks = len(bounds)
+        pool = self._ensure_pool(headers.shape[1], n_chunks)
+        workers = min(len(pool), n_chunks)
         arena = self._ensure_arena(headers)
-        prefixes = self._chunk_prefixes(bounds, entries or [])
-        specs = self._chunk_specs(plan, len(bounds), attempt)
         n = headers.shape[0]
-        names = arena["names"]
         shm_in, shm_out, shm_occ, shm_ctl = arena["segs"]
         np.ndarray(headers.shape, headers.dtype, buffer=shm_in.buf)[:] = (
             headers
@@ -1242,38 +1188,58 @@ class ClassificationPipeline:
             # or stale arena write looks like.
             ctl = np.ndarray((2,), np.uint64, buffer=shm_ctl.buf)
             ctl[1] = ctl[1] ^ np.uint64(0xDEAD)
-        tasks = [
-            (
-                names, headers.shape, str(headers.dtype),
-                i, b, pending, ctl_expected, sp,
+        # Earlier runs' batches are in effect from the first chunk on.
+        log = tuple((seq, -1, batch) for seq, batch in self._pool_log) + tuple(
+            (e.seq, e.effect_chunk, e.batch)
+            for e in entries
+            if e.effect_chunk < n_chunks
+        )
+        groups: list[list[int]] = [[] for _ in range(workers)]
+        for span in epoch_spans(n_chunks, entries):
+            for shard, ids in enumerate(shard_groups(span, workers)):
+                groups[shard].extend(ids)
+        for shard, ids in enumerate(groups):
+            if not ids:
+                continue  # collect_replies expects no reply either
+            chunks = tuple(
+                (
+                    i, bounds[i],
+                    plan.worker_faults(i, attempt, shard=shard)
+                    if plan is not None else (),
+                )
+                for i in ids
             )
-            for i, (b, pending, sp) in enumerate(
-                zip(bounds, prefixes, specs)
-            )
-        ]
-        if self._supervised(plan):
-            results = supervised_map(
-                pool, _run_chunk_shm, tasks, timeout_s=self._timeout_s()
-            )
-        else:
-            results = pool.map(_run_chunk_shm, tasks)
+            try:
+                pool[shard].conn.send((
+                    arena["names"], headers.shape, str(headers.dtype),
+                    ctl_expected, log, chunks,
+                ))
+            except OSError as exc:
+                raise WorkerCrashError(
+                    f"shard {shard} pipe broke at dispatch: {exc!r}",
+                    shard=shard, cause=exc,
+                ) from exc
+        replies = collect_replies(
+            pool[:workers], groups, timeout_s=self._timeout_s()
+        )
         match = np.ndarray((n,), np.int64, buffer=shm_out.buf).copy()
-        has_occ = all(r[0] for r in results)
+        has_occ = all(has for reply in replies for has, _ in reply)
         occupancy = (
             np.ndarray((n,), np.int64, buffer=shm_occ.buf).copy()
             if has_occ
             else None
         )
-        outputs = [
-            (
-                match[s:e],
-                None if occupancy is None else occupancy[s:e],
-                cache,
-                pid,
-            )
-            for (s, e), (_, cache, pid) in zip(bounds, results)
-        ]
-        return outputs, min(self._pool_size, len(bounds))
+        outputs: list = [None] * n_chunks
+        for shard, (ids, reply) in enumerate(zip(groups, replies)):
+            for i, (_, cache) in zip(ids, reply):
+                s, e = bounds[i]
+                outputs[i] = (
+                    match[s:e],
+                    None if occupancy is None else occupancy[s:e],
+                    cache,
+                    shard,
+                )
+        return outputs, workers
 
     # -- thread tier ----------------------------------------------------
     def _ensure_thread_clones(self, workers: int) -> list:
@@ -1315,12 +1281,13 @@ class ClassificationPipeline:
     ) -> tuple[list[ChunkOutput], int]:
         """One run over a shard-affine thread pool.
 
-        Chunks are assigned round-robin to shards; each shard serves its
-        chunks *in order* on one future, so a shard's private cache sees
-        the same chunk sequence a process shard would.  Updates are
-        epoch barriers: all chunks of one epoch drain before the batch
-        applies on the (serving) thread, then every shard cache is
-        epoch-invalidated — identical matches to the other modes.
+        Chunks follow the static schedule (:func:`epoch_spans`,
+        :func:`shard_groups`); each shard serves its group *in order* on
+        one future, so a shard's private cache sees the same chunk
+        sequence a process shard does.  Updates are epoch barriers: all
+        chunks of one epoch span drain before the batch applies on the
+        (serving) thread, then every shard cache is epoch-invalidated —
+        identical matches and counters to the fork tier.
 
         Supervision is per shard group: a failed or deadline-overrun
         future's chunks are re-served inline on the parent classifier —
@@ -1337,7 +1304,7 @@ class ClassificationPipeline:
 
         sup = self._supervisor
         timeout = self._timeout_s()
-        workers = min(self._thread_workers(), len(bounds))
+        workers = min(self._worker_count(), len(bounds))
         clones = self._ensure_thread_clones(workers)
         cached = clones[0] is not self.classifier
         outputs: list[ChunkOutput | None] = [None] * len(bounds)
@@ -1357,18 +1324,16 @@ class ClassificationPipeline:
                 )
             return out
 
-        n_chunks = len(bounds)
         idx = 0
-        start = 0
         pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-shard"
         )
         abandoned = False
         try:
-            while start < n_chunks:
+            for span in epoch_spans(len(bounds), entries):
                 while (
                     idx < len(entries)
-                    and entries[idx].effect_chunk <= start
+                    and entries[idx].effect_chunk <= span.start
                 ):
                     entry = entries[idx]
                     result = self._apply_entry(
@@ -1383,17 +1348,12 @@ class ClassificationPipeline:
                                 getattr(self.classifier, "update_epoch", 0)
                             )
                     idx += 1
-                stop = n_chunks
-                if idx < len(entries) and entries[idx].effect_chunk < stop:
-                    stop = entries[idx].effect_chunk
                 # Flush lazily-patched kernel state on the serving thread
                 # before shards walk the structures concurrently.
                 warm_batch_state(self.classifier, headers.shape[1])
-                group = list(range(start, stop))
                 futures = [
-                    (s, group[s::workers],
-                     pool.submit(_shard_serve, clones[s], group[s::workers], s))
-                    for s in range(workers)
+                    (s, ids, pool.submit(_shard_serve, clones[s], ids, s))
+                    for s, ids in enumerate(shard_groups(span, workers))
                 ]
                 for s, ids, fut in futures:
                     deadline = timeout * max(1, len(ids)) if timeout else None
@@ -1426,7 +1386,6 @@ class ClassificationPipeline:
                         )
                     for i, out in served:
                         outputs[i] = out
-                start = stop
         finally:
             pool.shutdown(wait=not abandoned)
         return outputs, workers
@@ -1567,13 +1526,8 @@ class ClassificationPipeline:
             ops_at[e.effect_chunk] = ops_at.get(e.effect_chunk, 0) + len(
                 e.batch
             )
-        # Densify worker labels (pids / thread indices) into 0-based
-        # shard ids, in first-served chunk order.
-        shard_of: dict[int, int] = {}
-        for out in outputs:
-            shard_of.setdefault(out[3], len(shard_of))
         chunks: list[ChunkStats] = []
-        for i, ((start, end), (match, occ, cache, label)) in enumerate(
+        for i, ((start, end), (match, occ, cache, shard)) in enumerate(
             zip(bounds, outputs)
         ):
             epoch = (
@@ -1592,7 +1546,7 @@ class ClassificationPipeline:
                     cache_evictions=None if cache is None else cache[2],
                     epoch=epoch,
                     updates_applied=ops_at.get(i, 0),
-                    shard=shard_of[label],
+                    shard=shard,
                 )
             )
         if outputs:

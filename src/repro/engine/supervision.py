@@ -7,12 +7,13 @@ The serving pipeline's fault-tolerance brain.  A
 :class:`~repro.engine.pipeline.ClassificationPipeline`, which routes
 every dispatch through a :class:`Supervisor`:
 
-* :func:`supervised_map` replaces the blind ``pool.map`` with an
-  in-order ``imap`` consumption loop that enforces a **per-chunk
-  deadline** and watches the pool's worker processes for **non-zero
-  exits** — a crashed worker surfaces as a typed
-  :class:`~repro.core.errors.WorkerCrashError` within one poll
-  interval instead of hanging ``map`` forever;
+* :func:`collect_replies` is the fork tier's one collect loop: each
+  worker process serves a static chunk group and replies once, and the
+  loop enforces a **group deadline** (``chunk_timeout_s`` times the
+  chunks in the group, the thread tier's rule) and watches every
+  outstanding worker for **non-zero exits** — a crashed worker surfaces
+  as a typed :class:`~repro.core.errors.WorkerCrashError` naming its
+  shard within one poll interval instead of hanging the dispatch;
 * retries use **exponential backoff with seeded jitter**
   (:meth:`Supervisor.backoff_s`) and every fork-tier retry tears the
   pool down and re-forks from the parent — the parent applies update
@@ -21,17 +22,19 @@ every dispatch through a :class:`Supervisor`:
   prefix in the fresh workers and the run stays bit-identical;
 * when retries at one tier are exhausted and the policy is
   ``degrade``, the pipeline walks the **degradation ladder**
-  ``persistent -> processes -> threads -> inline`` (starting at the
-  configured tier) and records every step taken;
+  ``processes -> threads -> inline`` (starting at the configured tier)
+  and records every step taken;
 * :func:`teardown_pool` bounds pool teardown: ``terminate()`` then a
   per-worker ``join`` deadline, then ``kill()`` for stragglers — a
   hung worker cannot wedge ``close()``, and the shared-memory arena is
   reaped by the pipeline right after.
 
-Everything observed lands in a :class:`FaultReport` carried on
+Shard labels are the same on every tier: the 0-based index of the
+worker's chunk group (0 on the inline tier).  Everything observed lands
+in a :class:`FaultReport` carried on
 :class:`~repro.engine.pipeline.PipelineResult` (and merged into
 :class:`~repro.serve.EngineReport`): retries, chunk replays,
-degradations, crash counts per worker, quarantined packets and
+degradations, crash counts per shard, quarantined packets and
 recovery latencies.
 """
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.errors import (
     ArenaCorruptionError,
@@ -60,9 +64,10 @@ FAULT_POLICIES = ("fail", "retry", "degrade")
 #: The worker-tier degradation ladder, most to least capable.  A run
 #: starts at its configured tier and, under ``fault_policy="degrade"``,
 #: falls to the next rung when retries on the current one are
-#: exhausted.  ``inline`` (single-process, per-chunk retry) is the
+#: exhausted.  ``processes`` is the fork tier (whichever lifetime its
+#: pool has); ``inline`` (single-process, per-chunk retry) is the
 #: floor — it shares no pool, no fork and no arena with anything.
-DEGRADATION_LADDER = ("persistent", "processes", "threads", "inline")
+DEGRADATION_LADDER = ("processes", "threads", "inline")
 
 #: Exceptions the supervisor may recover from (everything else — a
 #: genuine bug, a ConfigError — propagates untouched).
@@ -77,8 +82,8 @@ RECOVERABLE = (
 #: Poll interval of the dispatch monitor loop (seconds).
 _POLL_S = 0.02
 
-#: Grace period after observing a worker death, in case its last result
-#: was already in flight.
+#: Grace period to reap a worker whose pipe broke, so the crash error
+#: can name its exit code.
 _CRASH_GRACE_S = 0.1
 
 
@@ -128,7 +133,8 @@ class FaultReport:
     #: Chunk dispatches replayed (a retried fork dispatch replays every
     #: chunk of the run; inline/thread retries replay one chunk each).
     replays: int = 0
-    #: Ladder steps taken, e.g. ``"persistent->processes:crash"``.
+    #: Ladder steps taken, e.g.
+    #: ``"processes->threads:ArenaCorruptionError"``.
     degradations: list[str] = field(default_factory=list)
     worker_crashes: int = 0
     timeouts: int = 0
@@ -139,7 +145,8 @@ class FaultReport:
     ingest_retries: int = 0
     #: Malformed trace lines dead-lettered by ingestion quarantine.
     quarantined: int = 0
-    #: Crash count per worker label (pid in fork tiers).
+    #: Crash count per shard label (the worker's 0-based chunk-group
+    #: index, the same label on every tier).
     shard_crashes: dict = field(default_factory=dict)
     #: Seconds from each fault's detection to the replacement dispatch
     #: starting (teardown + backoff), one entry per retry/degradation.
@@ -252,7 +259,8 @@ class Supervisor:
     ) -> ServingFaultError:
         """Lift any recoverable failure into the typed serving error the
         ``fail`` policy (and exhausted retries) raise."""
-        shard = getattr(exc, "shard", None) or shard
+        if getattr(exc, "shard", None) is not None:
+            shard = exc.shard
         chunk = getattr(exc, "chunk", None) if getattr(
             exc, "chunk", None
         ) is not None else chunk
@@ -266,94 +274,87 @@ class Supervisor:
         )
 
 
-def supervised_map(pool, fn, tasks, *, timeout_s: float = 0.0):
-    """In-order ``imap`` over ``tasks`` with a per-chunk deadline and a
-    worker exit-code watch.
+class ForkWorker(NamedTuple):
+    """One fork-tier worker: its process and the parent's end of its
+    duplex pipe."""
 
-    Returns the ordered result list, or raises:
+    proc: object
+    conn: object
+
+
+def collect_replies(workers, groups, *, timeout_s: float = 0.0) -> list:
+    """Wait for the one reply each engaged worker sends for its chunk
+    group; ``groups[s]`` is worker ``s``'s chunk list (an empty group
+    was never dispatched: it waits for no reply and yields ``()``).
+
+    Returns the replies in shard order, or raises:
 
     * the worker's own exception (e.g. an injected fault or an arena
-      fence trip), as pickled back by the pool;
-    * :class:`WorkerCrashError` when a pool worker exits non-zero while
-      a chunk is outstanding (``multiprocessing.Pool`` loses the task
-      forever in that case — without this watch the dispatch would hang
-      indefinitely);
-    * :class:`ChunkTimeoutError` when one chunk exceeds ``timeout_s``.
-
-    Transport-layer breakage from a dying pool (pipe EOF, respawned
-    workers missing their fork snapshot) is folded into
-    :class:`WorkerCrashError` too: after a worker death the pool is a
-    write-off either way, and the supervisor's answer — tear down and
-    re-fork — is the same.
+      fence trip), as pickled back through its pipe;
+    * :class:`WorkerCrashError` when an outstanding worker exits
+      non-zero or its pipe breaks;
+    * :class:`ChunkTimeoutError` when a worker is still outstanding
+      ``timeout_s`` times its group's chunk count after dispatch.
     """
-    import multiprocessing
+    from multiprocessing.connection import wait
 
-    procs = list(getattr(pool, "_pool", ()))
-    it = pool.imap(fn, tasks)
-    out = []
-    for i in range(len(tasks)):
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s > 0 else None
+    started = time.monotonic()
+    replies: list = [()] * len(workers)
+    pending = {s: w for s, w in enumerate(workers) if groups[s]}
+
+    def crash(s: int, cause) -> WorkerCrashError:
+        proc = pending[s].proc
+        proc.join(_CRASH_GRACE_S)
+        return WorkerCrashError(
+            f"shard {s} (pid {proc.pid}) exited with code "
+            f"{proc.exitcode} while serving chunks {groups[s]}",
+            shard=s,
+            cause=cause if proc.exitcode is None else f"exit:{proc.exitcode}",
         )
-        while True:
-            try:
-                out.append(it.next(_POLL_S))
-                break
-            except multiprocessing.TimeoutError:
-                dead = [
-                    p for p in procs if p.exitcode not in (None, 0)
-                ]
-                if dead:
-                    try:  # the result may have been in flight already
-                        out.append(it.next(_CRASH_GRACE_S))
-                        break
-                    except multiprocessing.TimeoutError:
-                        pass
-                    raise WorkerCrashError(
-                        f"worker pid {dead[0].pid} exited with code "
-                        f"{dead[0].exitcode} while chunk {i} was "
-                        f"outstanding",
-                        shard=dead[0].pid,
-                        chunk=i,
-                        cause=f"exit:{dead[0].exitcode}",
-                    ) from None
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ChunkTimeoutError(
-                        f"chunk {i} exceeded the {timeout_s:.2f}s "
-                        f"dispatch deadline",
-                        chunk=i,
-                        cause="timeout",
-                    ) from None
-            except RECOVERABLE:
-                raise
-            except (AssertionError, OSError, EOFError, BrokenPipeError) as exc:
-                raise WorkerCrashError(
-                    f"worker pool broke while chunk {i} was outstanding: "
-                    f"{exc!r}",
-                    chunk=i,
-                    cause=exc,
-                ) from exc
-    return out
+
+    while pending:
+        ready = wait([w.conn for w in pending.values()], _POLL_S)
+        for s, w in list(pending.items()):
+            if w.conn in ready:
+                try:
+                    ok, payload = w.conn.recv()
+                except (EOFError, OSError) as exc:
+                    raise crash(s, exc) from None
+                if not ok:
+                    raise payload
+                replies[s] = payload
+                del pending[s]
+        now = time.monotonic()
+        for s, w in pending.items():
+            if w.proc.exitcode not in (None, 0):
+                raise crash(s, None)
+            limit = timeout_s * len(groups[s])
+            if timeout_s > 0 and now - started > limit:
+                raise ChunkTimeoutError(
+                    f"shard {s} exceeded its {limit:.2f}s group deadline "
+                    f"({len(groups[s])} chunks)",
+                    shard=s,
+                    cause="timeout",
+                )
+    return replies
 
 
-def teardown_pool(pool, *, deadline_s: float = 5.0) -> None:
-    """Terminate ``pool`` and reap its workers within a bounded
-    deadline: ``terminate()`` (SIGTERM), per-worker ``join`` slices of
-    the remaining budget, then ``kill()`` (SIGKILL) for anything still
-    alive — a worker stuck in an uninterruptible state cannot wedge
-    ``close()``, and no orphan processes are left behind."""
-    procs = list(getattr(pool, "_pool", ()))
-    pool.terminate()
+def teardown_pool(workers, *, deadline_s: float = 5.0) -> None:
+    """Terminate the fork-tier ``workers`` and reap them within a
+    bounded deadline: ``terminate()`` (SIGTERM) each, per-worker
+    ``join`` slices of the remaining budget, then ``kill()`` (SIGKILL)
+    for anything still alive — a worker stuck in an uninterruptible
+    state cannot wedge ``close()``, and no orphan processes are left
+    behind."""
+    for w in workers:
+        w.conn.close()
+        if w.proc.exitcode is None:
+            w.proc.terminate()
     stop_at = time.monotonic() + deadline_s
-    for proc in procs:
+    for w in workers:
         budget = stop_at - time.monotonic()
-        try:
-            if budget > 0:
-                proc.join(budget)
-            if proc.is_alive():  # pragma: no cover - SIGTERM-immune worker
-                proc.kill()
-                proc.join(1.0)
-        except (OSError, ValueError, AssertionError):
-            # Already reaped by the pool's own maintenance thread.
-            continue
-    pool.join()
+        if budget > 0:
+            w.proc.join(budget)
+        if w.proc.is_alive():  # pragma: no cover - SIGTERM-immune worker
+            w.proc.kill()
+            w.proc.join(1.0)

@@ -75,11 +75,12 @@ class EngineConfig:
     persistent: bool = False
     #: Worker tier: ``"auto"`` serves one-shot runs on threads or
     #: inline by a packets-per-worker cost rule and forks only a
-    #: persistent or stream-lifetime pool, ``"processes"`` always forks
-    #: when ``shards > 1``,
-    #: ``"threads"`` runs shard-affine in-process workers.  The engine
-    #: defaults to ``"auto"`` (``ClassificationPipeline`` constructed
-    #: directly keeps the historical ``"processes"`` default).
+    #: persistent or stream-lifetime pool of ``min(shards, usable
+    #: CPUs)`` workers; ``"processes"`` always serves on the fork tier
+    #: when ``shards > 1``, and ``"threads"`` on shard-affine
+    #: in-process workers, both with exactly ``shards`` workers.  The
+    #: engine defaults to ``"auto"`` (``ClassificationPipeline``
+    #: constructed directly defaults to ``"processes"``).
     shard_mode: str = "auto"
     #: Coalesce dispatches on update-free runs until each carries at
     #: least this many packets (0 disables).  ``chunk_size`` stays the
@@ -105,7 +106,7 @@ class EngineConfig:
     #: :class:`~repro.core.errors.ServingFaultError`, ``"retry"``
     #: replays the dispatch (bounded, backed off) on the same tier,
     #: ``"degrade"`` retries and then walks the worker-tier ladder
-    #: (persistent -> processes -> threads -> inline).
+    #: (processes -> threads -> inline).
     fault_policy: str = "fail"
     #: Dispatch retries per tier before failing (or degrading).
     max_retries: int = 2

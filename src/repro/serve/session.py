@@ -391,25 +391,12 @@ class Engine:
         supervisor = self._pipeline._supervisor
         stream_fault = FaultReport()
         quarantined_before = self.quarantine.count if self.quarantine else 0
-        sharded = self._pipeline.fork_planned()
-        borrowed_pool = False
-        if sharded:
-            # Fork the worker pool before any thread exists: forking a
-            # multi-threaded process risks inheriting held locks.  A
-            # transient (non-persistent) config is served through a
-            # stream-lifetime persistent pool for the same reason — one
-            # pre-threads fork instead of one fork per segment — and
-            # restored afterwards.
-            if not self._pipeline.persistent:
-                self._pipeline.persistent = True
-                borrowed_pool = True
-            try:
-                self._pipeline._ensure_pool(self.ruleset.schema.ndim)
-            except BaseException:
-                if borrowed_pool:
-                    self._pipeline.close()
-                    self._pipeline.persistent = False
-                raise
+        # Fork the worker pool before any thread exists: forking a
+        # multi-threaded process risks inheriting held locks.  The
+        # pipeline keeps it for the whole session — one pre-threads fork
+        # instead of one fork per segment — and decides on release
+        # whether it outlives the session (only a persistent one does).
+        held = self._pipeline.hold_pool(self.ruleset.schema.ndim)
         ingest_q: queue.Queue = queue.Queue(maxsize=prefetch)
         ring: queue.Queue = queue.Queue(maxsize=ring_slots)
         stop = threading.Event()
@@ -619,6 +606,5 @@ class Engine:
             self.last_stream_fault = (
                 stream_fault if stream_fault.any() else None
             )
-            if borrowed_pool:
-                self._pipeline.close()
-                self._pipeline.persistent = False
+            if held:
+                self._pipeline.release_pool()

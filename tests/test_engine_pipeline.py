@@ -369,8 +369,9 @@ class TestShardModes:
         assert not pipeline.fork_planned()
 
     def test_processes_mode_forces_fork(self, acc_small, acl_small_trace):
-        # The historical contract: shards > 1 forks whenever the
-        # platform can, even when clamping leaves one worker.
+        # shards > 1 forks whenever the platform can, with exactly
+        # ``shards`` workers: explicit modes are never clamped to the
+        # usable CPUs.
         pipeline = ClassificationPipeline(
             acc_small, chunk_size=256, shards=2, shard_mode="processes"
         )

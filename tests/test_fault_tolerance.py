@@ -114,8 +114,19 @@ class TestForkTierFaults:
                 )
         exc = excinfo.value
         assert exc.tier == "processes"
-        assert exc.shard is not None  # the dead worker's pid
+        assert exc.shard == 1  # chunk 1 is in shard 1's group
         assert isinstance(exc.cause, WorkerCrashError)
+
+    def test_fail_policy_names_shard_zero(self, acl_small, acl_small_trace):
+        """Shard labels are 0-based group indices: a crash in shard 0's
+        group must name shard 0, not lose it as a falsy label."""
+        with make_pipeline(acl_small, policy=retry_policy("fail")) as pipe:
+            with pytest.raises(ServingFaultError) as excinfo:
+                pipe.run(
+                    acl_small_trace, faults=[FaultSpec(kind="crash", chunk=0)]
+                )
+        assert excinfo.value.shard == 0
+        assert excinfo.value.cause.shard == 0
 
     def test_retries_exhausted_raises(self, acl_small, acl_small_trace):
         policy = retry_policy(max_retries=1)
@@ -232,7 +243,7 @@ class TestArenaFence:
         ) as pipe:
             with pytest.raises(ServingFaultError) as excinfo:
                 pipe.run(acl_small_trace, faults=[FaultSpec(kind="arena")])
-        assert excinfo.value.tier == "persistent"
+        assert excinfo.value.tier == "processes"
         assert isinstance(excinfo.value.cause, ArenaCorruptionError)
 
     def test_no_orphans_no_leaked_shm(self, acl_small, acl_small_trace):
@@ -242,7 +253,7 @@ class TestArenaFence:
         try:
             pipe.run(acl_small_trace, faults=[FaultSpec(kind="crash", chunk=0)])
             assert pipe._pool is not None and pipe._arena is not None
-            procs = list(pipe._pool._pool)
+            procs = [w.proc for w in pipe._pool]
             names = tuple(pipe._arena["names"])
         finally:
             pipe.close()
@@ -273,12 +284,12 @@ class TestArenaFence:
 # Degradation ladder
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_persistent_degrades_to_processes(
+    def test_processes_degrades_to_threads(
         self, acl_small, acl_small_trace, acl_small_oracle
     ):
         """An arena fault that outlives every retry (times=10) forces
-        the ladder step; the transient fork tier has no arena and
-        completes bit-identically."""
+        the ladder step; the thread tier has no arena and completes
+        bit-identically."""
         policy = retry_policy("degrade", max_retries=1)
         with make_pipeline(
             acl_small, policy=policy, persistent=True
@@ -288,7 +299,7 @@ class TestDegradationLadder:
             )
         assert np.array_equal(res.match, acl_small_oracle)
         assert res.fault.degradations == [
-            "persistent->processes:ArenaCorruptionError"
+            "processes->threads:ArenaCorruptionError"
         ]
         assert res.fault.arena_faults == 2  # attempts 0 and 1
         assert res.fault.recovery_s

@@ -134,14 +134,6 @@ class TestFlowCacheUnit:
         assert cache.stats.evictions == 2
         assert cache.stats.reclamations == 0
 
-    def test_warm_leaves_eviction_counters_untouched(self):
-        cache = FlowCache(1, ways=1)
-        hdr = _headers([[i, 0, 0, 0, 0] for i in range(4)])
-        cache.fill(hdr[:1], np.array([0], dtype=np.int64))
-        cache.warm(hdr, np.arange(4, dtype=np.int64))
-        assert cache.stats.evictions == 0
-        assert cache.stats.reclamations == 0
-
     def test_invalidate_drops_entries_keeps_counters(self):
         cache = FlowCache(8, ways=2)
         hdr = _headers([[1, 2, 3, 4, 5]])

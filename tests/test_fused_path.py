@@ -145,6 +145,68 @@ class TestFusedUnfusedIdentity:
 
 
 # ---------------------------------------------------------------------------
+# Counters follow the static chunk schedule, never worker scheduling
+# ---------------------------------------------------------------------------
+def _outcome(result) -> tuple:
+    """Per-chunk (hits, misses, evictions, shard) of one run."""
+    return tuple(
+        (c.cache_hits, c.cache_misses, c.cache_evictions, c.shard)
+        for c in result.chunks
+    )
+
+
+class TestShardDeterminism:
+    """Each shard owns a private flow cache, so its counters depend on
+    which chunks it serves in which order.  Both carriers follow one
+    static chunk -> shard schedule, so the counters are a function of
+    the configuration alone: the same on every run, on either carrier,
+    and at any usable-CPU count."""
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_fork_tier_counters_repeat(
+        self, persistent, acl_small, zipf_small_trace
+    ):
+        outcomes = set()
+        for _ in range(8):
+            with ClassificationPipeline(
+                _make_cached("tree", acl_small, fused=True),
+                chunk_size=256, shards=2, shard_mode="processes",
+                persistent=persistent,
+            ) as pipeline:
+                runs = 2 if persistent else 1
+                outcomes.add(tuple(
+                    _outcome(pipeline.run(zipf_small_trace))
+                    for _ in range(runs)
+                ))
+        assert len(outcomes) == 1
+
+    @pytest.mark.parametrize("kind", ["tree", "updatable"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_carriers_agree_at_any_cpu_count(
+        self, kind, shards, monkeypatch, acl_small, zipf_small_trace
+    ):
+        import repro.engine.pipeline as pipeline_module
+
+        updates = (
+            _update_schedule(acl_small) if kind == "updatable" else None
+        )
+        outcomes = {}
+        for cpus in (None, 1):
+            with monkeypatch.context() as patch:
+                if cpus is not None:
+                    patch.setattr(pipeline_module, "usable_cpus", lambda: cpus)
+                for mode in ("processes", "threads"):
+                    with ClassificationPipeline(
+                        _make_cached(kind, acl_small, fused=True),
+                        chunk_size=256, shards=shards, shard_mode=mode,
+                    ) as pipeline:
+                        res = pipeline.run(zipf_small_trace, updates=updates)
+                    assert res.n_shards == shards
+                    outcomes[cpus, mode] = (_outcome(res), res.match.tobytes())
+        assert len(set(outcomes.values())) == 1, sorted(outcomes)
+
+
+# ---------------------------------------------------------------------------
 # Degenerate dispatch shapes
 # ---------------------------------------------------------------------------
 class TestFusedEdges:

@@ -365,17 +365,22 @@ class TestSessionLifecycle:
             Engine.open("linear", acl_small)
 
     def test_transient_sharded_stream_borrows_then_restores_pool(
-        self, acl_small, acl_small_trace
+        self, acl_small, acl_small_trace, fork_count
     ):
-        # A non-persistent sharded config streams on a stream-lifetime
-        # pool (one pre-threads fork, no per-segment forking from a
-        # threaded process) and restores transient mode afterwards.
+        # A non-persistent sharded config streams on a pool the
+        # pipeline holds for the session (one pre-threads fork, no
+        # per-segment forking from a threaded process) and releases
+        # afterwards; the engine never flips ``persistent``.
         config = EngineConfig(
             backend="linear", chunk_size=256, shards=2, persistent=False
         )
         with Engine.open(config, acl_small) as engine:
             want = engine.classify(acl_small_trace).match
+            forks = fork_count()
             chunks = list(engine.stream(acl_small_trace, segment_packets=512))
+            # One fork per session worker, none per segment.
+            planned = engine.pipeline.fork_planned()
+            assert fork_count() - forks == (2 if planned else 0)
             assert not engine.pipeline.persistent
             assert not engine.pool_engaged
             got = np.concatenate([c.match for c in chunks])
